@@ -35,12 +35,14 @@ void Messenger::Connect(Messenger& a, Messenger& b) {
     in.txlog = std::make_unique<RingReceiver>(&rx.store_, rx.options_.txlog_capacity);
     in.msgq = std::make_unique<RingReceiver>(&rx.store_, rx.options_.msgq_capacity);
     // Feedback words live in the sender's NVRAM.
-    uint64_t fb_log = tx.store_.Allocate(8);
-    uint64_t fb_msg = tx.store_.Allocate(8);
-    in.peer_txlog_feedback = fb_log;
-    in.peer_msgq_feedback = fb_msg;
+    uint8_t* fb_log = nullptr;
+    uint8_t* fb_msg = nullptr;
+    in.peer_txlog_feedback = tx.store_.Allocate(8, &fb_log);
+    in.peer_msgq_feedback = tx.store_.Allocate(8, &fb_msg);
 
     bool local = &rx == &tx;
+    in.local_txlog_feedback = local ? fb_log : nullptr;
+    in.local_msgq_feedback = local ? fb_msg : nullptr;
     MachineId rx_id = rx.id();
     Messenger* rxp = &rx;
     Outbound out;
@@ -334,10 +336,9 @@ void Messenger::ProcessInbound(MachineId from, bool is_log) {
     in.txlog->Drain([&](uint64_t seq, std::vector<uint8_t> payload) {
       worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(payload.size()));
       BufReader r(payload);
-      TxLogRecord rec = TxLogRecord::Parse(r);
-      in.stored[seq] = rec;
+      auto stored = in.stored.insert_or_assign(seq, TxLogRecord::Parse(r)).first;
       if (log_handler_) {
-        log_handler_(from, seq, in.stored[seq]);
+        log_handler_(from, seq, stored->second);
       }
     });
   } else {
@@ -427,22 +428,22 @@ void Messenger::MaybeSendFeedback(MachineId from) {
     return;
   }
   Inbound& in = it->second;
-  auto post = [&](RingReceiver& rx, uint64_t& reported, uint64_t peer_addr, uint32_t cap) {
-    if (rx.bytes_freed_total() - reported < cap / 8) {
+  auto post = [&](RingReceiver& rx, uint64_t& reported, uint64_t peer_addr, uint8_t* local) {
+    if (rx.bytes_freed_total() - reported < rx.capacity() / 8) {
       return;
     }
     reported = rx.bytes_freed_total();
     uint64_t head = rx.head();
     std::vector<uint8_t> bytes(8);
     std::memcpy(bytes.data(), &head, 8);
-    if (from == id()) {
-      std::memcpy(store_.Data(peer_addr, 8), bytes.data(), 8);
+    if (local != nullptr) {
+      std::memcpy(local, bytes.data(), 8);
     } else {
       (void)fabric_.Write(id(), from, peer_addr, std::move(bytes), nullptr);
     }
   };
-  post(*in.txlog, in.reported_txlog_freed, in.peer_txlog_feedback, options_.txlog_capacity);
-  post(*in.msgq, in.reported_msgq_freed, in.peer_msgq_feedback, options_.msgq_capacity);
+  post(*in.txlog, in.reported_txlog_freed, in.peer_txlog_feedback, in.local_txlog_feedback);
+  post(*in.msgq, in.reported_msgq_freed, in.peer_msgq_feedback, in.local_msgq_feedback);
 }
 
 void Messenger::RebuildFromNvram() {

@@ -158,9 +158,12 @@ class Messenger {
   struct Inbound {
     std::unique_ptr<RingReceiver> txlog;
     std::unique_ptr<RingReceiver> msgq;
-    // Feedback words in the *peer's* NVRAM where we post freed heads.
+    // Feedback words in the *peer's* NVRAM where we post freed heads; on a
+    // same-machine ring they are ours, and local_* point at them.
     uint64_t peer_txlog_feedback = 0;
     uint64_t peer_msgq_feedback = 0;
+    uint8_t* local_txlog_feedback = nullptr;
+    uint8_t* local_msgq_feedback = nullptr;
     uint64_t reported_txlog_freed = 0;
     uint64_t reported_msgq_freed = 0;
     bool txlog_poll_scheduled = false;

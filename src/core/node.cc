@@ -64,7 +64,7 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   });
   // Probe/control word: the CM's probe read targets this (it holds
   // LastDrained, read during reconfiguration probes).
-  control_block_addr_ = store_->Allocate(8);
+  control_block_addr_ = store_->Allocate(8, &control_block_);
 }
 
 Node::~Node() = default;
@@ -99,7 +99,7 @@ void Node::ColdRestart() {
   restart_epoch_++;
   config_ = Configuration{};
   last_drained_ = 0;
-  std::memset(store_->Data(control_block_addr_, 8), 0, 8);
+  std::memset(control_block_, 0, 8);
   replicas_.clear();
   allocators_.clear();
   ref_cache_.clear();

@@ -369,6 +369,7 @@ class Node {
   Configuration config_;
   ConfigId last_drained_ = 0;
   uint64_t control_block_addr_ = 0;  // probe target; holds LastDrained
+  uint8_t* control_block_ = nullptr;  // local view of control_block_addr_
 
   std::map<RegionId, std::unique_ptr<RegionReplica>> replicas_;
   std::map<RegionId, std::unique_ptr<RegionAllocator>> allocators_;

@@ -170,7 +170,7 @@ void Node::BeginTransactionStateRecovery() {
   // reconfiguration probes read.
   messenger_->DrainAllNow();
   last_drained_ = config_.id > 0 ? config_.id - 1 : 0;
-  std::memcpy(store_->Data(control_block_addr_, 8), &last_drained_, 8);
+  std::memcpy(control_block_, &last_drained_, 8);
 
   region_recovery_.clear();
 

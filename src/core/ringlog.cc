@@ -12,15 +12,15 @@ uint32_t FrameCheck(const uint8_t* payload, uint32_t len) {
 }
 
 RingReceiver::RingReceiver(NvramStore* store, uint32_t capacity)
-    : store_(store), cap_(capacity) {
+    : cap_(capacity) {
   FARM_CHECK(capacity % 8 == 0 && capacity >= 64);
-  base_ = store_->Allocate(8 + capacity);  // [u64 persisted head][data]
+  base_ = store->Allocate(8 + capacity, &mem_);  // [u64 persisted head][data]
 }
 
 uint8_t* RingReceiver::At(uint64_t abs, uint32_t len) {
   uint64_t off = abs % cap_;
   FARM_CHECK(off + len <= cap_) << "frame straddles ring end";
-  return store_->Data(data_base() + off, len);
+  return data() + off;
 }
 
 uint32_t RingReceiver::PeekLen(uint64_t abs) {
@@ -98,7 +98,7 @@ void RingReceiver::AdvanceHead() {
   }
   if (moved) {
     // Persist the head so power-failure recovery knows where to re-parse.
-    std::memcpy(store_->Data(base_, 8), &head_, 8);
+    std::memcpy(mem_, &head_, 8);
   }
 }
 
@@ -113,27 +113,27 @@ void RingReceiver::NoteTorn() {
 
 void RingReceiver::RebuildFromNvram() {
   frames_.clear();
-  std::memcpy(&head_, store_->Data(base_, 8), 8);
+  std::memcpy(&head_, mem_, 8);
   parse_ = head_;
   next_seq_ = 0;
 }
 
 RingSender::RingSender(Fabric* fabric, MachineId self, MachineId peer, uint64_t ring_data_base,
-                       uint32_t capacity, uint64_t feedback_addr, NvramStore* self_store,
+                       uint32_t capacity, const uint8_t* feedback, NvramStore* self_store,
                        RingReceiver* local_receiver, std::function<void()> poke_receiver)
     : fabric_(fabric),
       self_(self),
       peer_(peer),
       data_base_(ring_data_base),
       cap_(capacity),
-      feedback_addr_(feedback_addr),
+      feedback_(feedback),
       self_store_(self_store),
       local_receiver_(local_receiver),
       poke_receiver_(std::move(poke_receiver)) {}
 
 uint64_t RingSender::HeadView() const {
   uint64_t head;
-  std::memcpy(&head, self_store_->Data(feedback_addr_, 8), 8);
+  std::memcpy(&head, feedback_, 8);
   return head;
 }
 
@@ -176,7 +176,7 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t rese
     uint32_t m = kWrapMarker;
     std::memcpy(marker.data(), &m, 4);
     if (local_receiver_ != nullptr) {
-      std::memcpy(self_store_->Data(data_base_ + off, 4), marker.data(), 4);
+      std::memcpy(local_receiver_->data() + off, marker.data(), 4);
     } else {
       // Fire-and-forget; the record write below orders after it in the ring.
       (void)fabric_->Write(self_, peer_, data_base_ + off, std::move(marker), nullptr);

@@ -54,6 +54,7 @@ class RingReceiver {
   RingReceiver(NvramStore* store, uint32_t capacity);
 
   uint64_t data_base() const { return base_ + 8; }  // senders write here
+  uint8_t* data() { return mem_ + 8; }               // local view of data_base()
   uint32_t capacity() const { return cap_; }
 
   // Parses complete records at the parse position. fn(seq, payload) is
@@ -89,8 +90,8 @@ class RingReceiver {
   void AdvanceHead();
   void NoteTorn();
 
-  NvramStore* store_;
   uint64_t base_;
+  uint8_t* mem_ = nullptr;  // owner-held pointer to base_
   uint32_t cap_;
   uint64_t head_ = 0;
   uint64_t parse_ = 0;
@@ -106,11 +107,11 @@ class RingReceiver {
 // commit records before starting the commit), and issues the writes.
 class RingSender {
  public:
-  // `feedback_addr` is a u64 in the *sender's* NVRAM where the receiver
+  // `feedback` points at a u64 in the *sender's* NVRAM where the receiver
   // posts freed-head updates. For same-machine rings, local_receiver is the
   // receiver half and appends become local memory copies.
   RingSender(Fabric* fabric, MachineId self, MachineId peer, uint64_t ring_data_base,
-             uint32_t capacity, uint64_t feedback_addr, NvramStore* self_store,
+             uint32_t capacity, const uint8_t* feedback, NvramStore* self_store,
              RingReceiver* local_receiver, std::function<void()> poke_receiver);
 
   // Reserves space for one record of `payload_len` (conservatively doubled
@@ -158,7 +159,7 @@ class RingSender {
   MachineId peer_;
   uint64_t data_base_;
   uint32_t cap_;
-  uint64_t feedback_addr_;
+  const uint8_t* feedback_;
   NvramStore* self_store_;
   RingReceiver* local_receiver_;
   std::function<void()> poke_receiver_;

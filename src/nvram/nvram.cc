@@ -1,40 +1,57 @@
 #include "src/nvram/nvram.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace farm {
 
-uint64_t NvramStore::Allocate(size_t len) {
+NvramStore::~NvramStore() {
+  for (auto [addr, len] : mappings_) {
+    munmap(addr, len);
+  }
+}
+
+uint64_t NvramStore::Allocate(size_t len, uint8_t** data) {
   FARM_CHECK(len > 0);
+  size_t advance = (len + kAlign - 1) / kAlign * kAlign;
+  if (advance > map_left_) {
+    // Fresh anonymous pages read as zero and become resident only when
+    // first written; the unused tail of the previous mapping is never
+    // touched, so it costs address space only.
+    size_t map_len = (std::max(advance, kMinMapping) + 4095) & ~size_t{4095};
+    void* p = mmap(nullptr, map_len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    FARM_CHECK(p != MAP_FAILED) << "NVRAM mapping of " << map_len << " bytes failed";
+    mappings_.emplace_back(p, map_len);
+    map_next_ = static_cast<uint8_t*>(p);
+    map_left_ = map_len;
+  }
   uint64_t base = next_addr_;
-  auto seg = std::make_unique<Segment>();
-  seg->base = base;
-  seg->bytes.assign(len, 0);
-  segments_[base] = std::move(seg);
-  uint64_t advance = (len + kAlign - 1) / kAlign * kAlign;
+  segments_.push_back(Segment{base, len, map_next_});
+  if (data != nullptr) {
+    *data = map_next_;
+  }
+  map_next_ += advance;
+  map_left_ -= advance;
   next_addr_ = base + advance;
   return base;
 }
 
-NvramStore::Segment* NvramStore::Find(uint64_t addr, size_t len) {
-  if (segments_.empty() || len == 0) {
-    return nullptr;
-  }
-  auto it = segments_.upper_bound(addr);
-  if (it == segments_.begin()) {
+uint8_t* NvramStore::Data(uint64_t addr, size_t len) {
+  auto it = std::upper_bound(segments_.begin(), segments_.end(), addr,
+                             [](uint64_t a, const Segment& s) { return a < s.base; });
+  if (it == segments_.begin() || len == 0) {
     return nullptr;
   }
   --it;
-  Segment* seg = it->second.get();
-  if (addr < seg->base || addr + len > seg->base + seg->bytes.size()) {
+  uint64_t off = addr - it->base;
+  if (len > it->len || off > it->len - len) {
     return nullptr;
   }
-  return seg;
-}
-
-uint8_t* NvramStore::Data(uint64_t addr, size_t len) {
-  Segment* seg = Find(addr, len);
-  return seg == nullptr ? nullptr : seg->bytes.data() + (addr - seg->base);
+  return it->data + off;
 }
 
 const uint8_t* NvramStore::Data(uint64_t addr, size_t len) const {

@@ -5,6 +5,11 @@
 // flat 64-bit address space (addresses are what remote machines use in
 // one-sided verbs) plus direct pointers for local access.
 //
+// Memory contract (DESIGN.md "Simulation model"): a range reads as zero and
+// takes host memory only once written, and never moves while the store
+// lives, so local owners keep the pointer Allocate hands them; only remote
+// verbs translate addresses, through a flat table sorted by base.
+//
 // Non-volatility: the store object is owned by the test/bench harness, not
 // by the simulated Machine, so its contents survive Machine::Reboot() --
 // modeling the distributed-UPS save/restore path of section 2.1. A Kill()ed
@@ -14,8 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/net/rdma_memory.h"
@@ -25,14 +29,17 @@ namespace farm {
 class NvramStore : public RdmaMemory {
  public:
   NvramStore() = default;
+  ~NvramStore() override;
   NvramStore(const NvramStore&) = delete;
   NvramStore& operator=(const NvramStore&) = delete;
 
-  // Allocates a zeroed, registered range; returns its base address.
-  // Ranges are never recycled (region placement changes allocate anew).
-  uint64_t Allocate(size_t len);
+  // Allocates a zeroed, registered range; returns its base address. If
+  // `data` is non-null it receives the range's local pointer, valid for the
+  // store's lifetime. Ranges are never recycled (region placement changes
+  // allocate anew).
+  uint64_t Allocate(size_t len, uint8_t** data = nullptr);
 
-  // Direct pointer for local CPU access. The range must lie inside one
+  // Direct pointer for [addr, addr+len). The range must lie inside one
   // allocation. Returns nullptr if unregistered.
   uint8_t* Data(uint64_t addr, size_t len);
   const uint8_t* Data(uint64_t addr, size_t len) const;
@@ -61,18 +68,22 @@ class NvramStore : public RdmaMemory {
  private:
   struct Segment {
     uint64_t base;
-    std::vector<uint8_t> bytes;
+    uint64_t len;
+    uint8_t* data;
   };
-
-  // Finds the segment containing [addr, addr+len), or nullptr.
-  Segment* Find(uint64_t addr, size_t len);
 
   static constexpr uint64_t kBaseAddr = 0x1000;  // 0 stays invalid
   static constexpr uint64_t kAlign = 64;
+  // Small ranges (feedback words, control blocks) share mappings of this
+  // size rather than taking a page and a kernel mapping each.
+  static constexpr size_t kMinMapping = 1 << 20;
 
   uint64_t next_addr_ = kBaseAddr;
-  // Keyed by base address; segments are non-overlapping and sorted.
-  std::map<uint64_t, std::unique_ptr<Segment>> segments_;
+  // Sorted by base (bases only grow, so appends keep the order).
+  std::vector<Segment> segments_;
+  std::vector<std::pair<void*, size_t>> mappings_;  // for munmap
+  uint8_t* map_next_ = nullptr;  // unused tail of the newest mapping
+  size_t map_left_ = 0;
 
   bool torn_armed_ = false;
   uint32_t torn_keep_ = 0;

@@ -1,6 +1,10 @@
 // Tests for the simulated RDMA fabric and NVRAM store.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <cstring>
 
 #include "src/net/fabric.h"
@@ -414,6 +418,79 @@ TEST(NvramTest, ZeroInitialized) {
   for (int i = 0; i < 1024; i++) {
     EXPECT_EQ(p[i], 0);
   }
+}
+
+TEST(NvramTest, AccessStraddlingAdjacentAllocationsRejected) {
+  NvramStore store;
+  uint64_t a = store.Allocate(64);
+  uint64_t b = store.Allocate(64);
+  ASSERT_EQ(b, a + 64);  // adjacent in the address space
+  EXPECT_NE(store.Data(a + 56, 8), nullptr);
+  EXPECT_NE(store.Data(b, 8), nullptr);
+  EXPECT_EQ(store.Data(a + 60, 8), nullptr);
+  EXPECT_EQ(store.Data(a, 128), nullptr);
+  uint8_t buf[16] = {};
+  EXPECT_FALSE(store.RdmaRead(a + 56, 16, buf));
+  EXPECT_FALSE(store.RdmaWrite(a + 56, buf, 16));
+}
+
+TEST(NvramTest, LargeAllocationIsLazyAndZeroAfterLargeFree) {
+  // A large heap block freed first moves malloc's mmap threshold up; the
+  // store's segments must stay lazily committed regardless.
+  constexpr size_t kBig = 24 << 20;
+  uint8_t* junk = static_cast<uint8_t*>(std::malloc(kBig));
+  ASSERT_NE(junk, nullptr);
+  std::memset(junk, 0xAB, kBig);
+  volatile uint8_t sink = junk[kBig / 2];
+  (void)sink;
+  std::free(junk);
+
+  NvramStore store;
+  constexpr size_t kLen = 8 << 20;
+  uint8_t* p = nullptr;
+  uint64_t a = store.Allocate(kLen, &p);
+  ASSERT_NE(p, nullptr);
+  size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  uintptr_t first = reinterpret_cast<uintptr_t>(p) / page * page;
+  size_t span = reinterpret_cast<uintptr_t>(p) + kLen - first;
+  std::vector<unsigned char> resident((span + page - 1) / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(first), span, resident.data()), 0);
+  size_t resident_pages = 0;
+  for (unsigned char r : resident) {
+    resident_pages += r & 1;
+  }
+  EXPECT_EQ(resident_pages, 0u);
+
+  const uint8_t* q = store.Data(a, kLen);
+  ASSERT_EQ(q, p);
+  size_t nonzero = 0;
+  for (size_t i = 0; i < kLen; i++) {
+    nonzero += q[i] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+
+  // The probe itself works: a written page is reported resident.
+  p[0] = 1;
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(first), page, resident.data()), 0);
+  EXPECT_EQ(resident[0] & 1, 1);
+}
+
+TEST(NvramTest, OwnerPointerIsStableAcrossLaterAllocations) {
+  NvramStore store;
+  uint8_t* p = nullptr;
+  uint64_t a = store.Allocate(256, &p);
+  ASSERT_EQ(p, store.Data(a, 256));
+  p[0] = 7;
+  p[255] = 9;
+  for (int i = 0; i < 64; i++) {
+    store.Allocate(i % 8 == 0 ? (3 << 20) : 8);
+  }
+  EXPECT_EQ(store.Data(a, 256), p);
+  EXPECT_EQ(p[0], 7);
+  EXPECT_EQ(p[255], 9);
+  uint8_t got[1];
+  ASSERT_TRUE(store.RdmaRead(a + 255, 1, got));
+  EXPECT_EQ(got[0], 9);
 }
 
 TEST(EnergyModelTest, MatchesPaperCalibration) {

@@ -269,7 +269,8 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
 
   const uint32_t kCap = 1024;
   RingReceiver rx(&s1, kCap);
-  uint64_t fb = s0.Allocate(8);
+  uint8_t* fb = nullptr;
+  s0.Allocate(8, &fb);
   RingSender tx(&fabric, 0, 1, rx.data_base(), kCap, fb, &s0, nullptr, []() {});
 
   Pcg32 rng(13);
@@ -292,7 +293,7 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
       rx.MarkFreeable(seq);
     });
     uint64_t head = rx.head();
-    std::memcpy(s0.Data(fb, 8), &head, 8);
+    std::memcpy(fb, &head, 8);
   }
   EXPECT_EQ(received, 500);
   EXPECT_EQ(sent_crc, recv_crc);
@@ -313,7 +314,8 @@ TEST(RingProperty, RandomBatchesSurviveWraps) {
 
   const uint32_t kCap = 2048;
   RingReceiver rx(&s1, kCap);
-  uint64_t fb = s0.Allocate(8);
+  uint8_t* fb = nullptr;
+  s0.Allocate(8, &fb);
   RingSender tx(&fabric, 0, 1, rx.data_base(), kCap, fb, &s0, nullptr, []() {});
 
   Pcg32 rng(29);
@@ -348,7 +350,7 @@ TEST(RingProperty, RandomBatchesSurviveWraps) {
       rx.MarkFreeable(seq);
     });
     uint64_t head = rx.head();
-    std::memcpy(s0.Data(fb, 8), &head, 8);
+    std::memcpy(fb, &head, 8);
   }
   EXPECT_EQ(received, sent);
   EXPECT_EQ(sent_crc, recv_crc);

@@ -82,7 +82,8 @@ class RingTest : public ::testing::Test {
 
 TEST_F(RingTest, AppendDrainTruncate) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   int pokes = 0;
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr,
                 [&]() { pokes++; });
@@ -105,7 +106,8 @@ TEST_F(RingTest, AppendDrainTruncate) {
 TEST_F(RingTest, WrapAround) {
   const uint32_t kCap = 256;
   RingReceiver rx(stores_[1].get(), kCap);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), kCap, fb, stores_[0].get(), nullptr, []() {});
 
   // Send enough records to wrap several times, freeing as we go.
@@ -123,7 +125,7 @@ TEST_F(RingTest, WrapAround) {
     });
     // Propagate head feedback manually (normally the messenger does this).
     uint64_t head = rx.head();
-    std::memcpy(stores_[0]->Data(fb, 8), &head, 8);
+    std::memcpy(fb, &head, 8);
   }
   EXPECT_EQ(received, 40);
 }
@@ -131,7 +133,8 @@ TEST_F(RingTest, WrapAround) {
 TEST_F(RingTest, ReservationBlocksWhenFull) {
   const uint32_t kCap = 256;
   RingReceiver rx(stores_[1].get(), kCap);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), kCap, fb, stores_[0].get(), nullptr, []() {});
 
   int granted = 0;
@@ -147,7 +150,8 @@ TEST_F(RingTest, ReservationBlocksWhenFull) {
 
 TEST_F(RingTest, TruncateOutOfOrderStillFreesPrefix) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr, []() {});
 
   for (int i = 0; i < 3; i++) {
@@ -169,7 +173,8 @@ TEST_F(RingTest, TruncateOutOfOrderStillFreesPrefix) {
 
 TEST_F(RingTest, RebuildFromNvramReparsesUntruncated) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr, []() {});
   for (int i = 0; i < 3; i++) {
     std::vector<uint8_t> p(16, static_cast<uint8_t>(i + 1));
@@ -217,7 +222,8 @@ TEST(NvramTornWriteTest, ArmedTearKeepsOnlyPrefix) {
 
 TEST_F(RingTest, TornAppendDetectedAndDrainStopsCleanly) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr, []() {});
 
   std::vector<uint8_t> good(16, 0x5A);
@@ -246,7 +252,8 @@ TEST_F(RingTest, TornAppendDetectedAndDrainStopsCleanly) {
 
 TEST_F(RingTest, RebuildFromNvramStopsAtTear) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr, []() {});
 
   std::vector<uint8_t> first(16, 0x11);
@@ -353,7 +360,8 @@ TEST(WireTest, PiggybackSlackSaturates) {
 
 TEST_F(RingTest, PrepareBatchMatchesSequentialAppends) {
   RingReceiver rx(stores_[1].get(), 4096);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   int pokes = 0;
   RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr,
                 [&]() { pokes++; });
@@ -384,7 +392,8 @@ TEST_F(RingTest, PrepareBatchMatchesSequentialAppends) {
 TEST_F(RingTest, PrepareBatchWrapsWithMarker) {
   const uint32_t kCap = 256;
   RingReceiver rx(stores_[1].get(), kCap);
-  uint64_t fb = stores_[0]->Allocate(8);
+  uint8_t* fb = nullptr;
+  stores_[0]->Allocate(8, &fb);
   RingSender tx(&fabric_, 0, 1, rx.data_base(), kCap, fb, stores_[0].get(), nullptr, []() {});
 
   // Advance the tail to 240 (5 x 48-byte frames), freeing as we go.
@@ -394,7 +403,7 @@ TEST_F(RingTest, PrepareBatchWrapsWithMarker) {
     sim_.Run();
     rx.Drain([&](uint64_t seq, std::vector<uint8_t>) { rx.MarkFreeable(seq); });
     uint64_t head = rx.head();
-    std::memcpy(stores_[0]->Data(fb, 8), &head, 8);
+    std::memcpy(fb, &head, 8);
   }
 
   // The next 48-byte frame does not fit in the 16 bytes before the ring
