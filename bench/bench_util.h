@@ -37,9 +37,6 @@ class JsonReport {
     scalars_.emplace_back(key, std::to_string(v));
   }
   void Set(const std::string& key, int v) { scalars_.emplace_back(key, std::to_string(v)); }
-  void SetString(const std::string& key, const std::string& v) {
-    scalars_.emplace_back(key, "\"" + v + "\"");
-  }
   // Appends one row to the "points" array (a sweep step, one per load level).
   void AddPoint(std::vector<std::pair<std::string, double>> kv) {
     std::vector<std::pair<std::string, std::string>> row;
@@ -110,28 +107,7 @@ inline uint64_t& SimEventsProcessed() {
   static uint64_t n = 0;
   return n;
 }
-inline bool& BatchFlag() {
-  static bool batch = false;
-  return batch;
-}
-inline SimDuration& BatchQuantum() {
-  static SimDuration q = 0;  // 0 = keep the Messenger::Options default
-  return q;
-}
-inline bool& BackoffFlag() {
-  static bool backoff = false;
-  return backoff;
-}
 }  // namespace internal
-
-// True when the bench ran with --batch: DefaultClusterOptions then enables
-// data-plane batching, and benches record the mode in their JSON output.
-inline bool BatchRequested() { return internal::BatchFlag(); }
-// Flush-quantum override from --batch-quantum=<ns> (0 = messenger default).
-inline SimDuration BatchQuantumRequested() { return internal::BatchQuantum(); }
-// True when the bench ran with --backoff: DefaultClusterOptions then enables
-// adaptive lock-conflict backoff in the coordinators.
-inline bool BackoffRequested() { return internal::BackoffFlag(); }
 
 // Records how many simulator events the bench's measured body pumped. The
 // BenchEnv destructor divides this by wall time to derive events_per_sec,
@@ -144,11 +120,6 @@ inline void ReportSimEvents(uint64_t events) { internal::SimEventsProcessed() = 
 //   --flight-out=<path>   append every cluster's flight-recorder postmortem
 //   --trace-no-net        omit per-operation fabric events (smaller traces)
 //   --json-out=<path>     write a machine-readable result summary (JSON)
-//   --batch               enable data-plane batching (message coalescing +
-//                         doorbell batching) for clusters built with
-//                         DefaultClusterOptions
-//   --batch-quantum=<ns>  override the batch flush quantum (with --batch)
-//   --backoff             enable adaptive lock-conflict backoff
 // Construct one at the top of main(); the destructor writes the trace after
 // the bench body finishes. Unrecognized arguments are ignored, so benches
 // keep their zero-flag invocations.
@@ -168,12 +139,6 @@ class BenchEnv {
         capture_net = false;
       } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
         json_path_ = arg + 11;
-      } else if (std::strcmp(arg, "--batch") == 0) {
-        internal::BatchFlag() = true;
-      } else if (std::strncmp(arg, "--batch-quantum=", 16) == 0) {
-        internal::BatchQuantum() = static_cast<SimDuration>(std::strtoull(arg + 16, nullptr, 10));
-      } else if (std::strcmp(arg, "--backoff") == 0) {
-        internal::BackoffFlag() = true;
       }
     }
     if (!trace_path_.empty()) {
@@ -277,24 +242,18 @@ inline ClusterOptions DefaultClusterOptions(int machines, uint64_t seed = 1) {
   opts.node.region_size = 1 << 20;
   opts.node.block_size = 64 << 10;
   opts.node.lease.duration = 10 * kMillisecond;
-  opts.node.msgr.batch = BatchRequested();
-  if (BatchQuantumRequested() > 0) {
-    opts.node.msgr.batch_flush_delay = BatchQuantumRequested();
-  }
-  opts.node.adaptive_backoff = BackoffRequested();
   return opts;
 }
 
 // Emits wire-level message accounting into the JSON report: total fabric
 // messages, committed transactions, and the per-committed-tx message count
-// the batching ablation tracks (fig 7's msgs/tx axis). `msgs` and
+// (fig 7's msgs/tx axis). `msgs` and
 // `committed` are deltas over the measured window.
 inline void ReportMessageCounts(uint64_t msgs, uint64_t committed) {
   JsonReport* j = Json();
   if (j == nullptr) {
     return;
   }
-  j->SetString("batch_mode", BatchRequested() ? "on" : "off");
   j->Set("wire_messages", msgs);
   j->Set("committed_txs", committed);
   if (committed > 0) {
@@ -303,9 +262,8 @@ inline void ReportMessageCounts(uint64_t msgs, uint64_t committed) {
 }
 
 // Data-plane messages per committed transaction between two FabricStats
-// snapshots: ring writes + RPC request/response messages + datagrams. These
-// are the sends per-destination coalescing can merge; one-sided READs are
-// excluded because a read has no remote send to merge.
+// snapshots: ring writes + RPC request/response messages + datagrams.
+// One-sided READs are excluded because a read has no remote send.
 inline double DataPlaneMsgsPerTx(const FabricStats& before, const FabricStats& after,
                                  uint64_t committed) {
   if (committed == 0) {
@@ -334,12 +292,10 @@ inline void ReportWireBreakdown(const FabricStats& before, const FabricStats& af
   j->Set("reads_per_tx", reads);
   j->Set("writes_per_tx", writes);
   j->Set("rpc_msgs_per_tx", rpc_msgs);
-  j->Set("doorbells_per_tx", static_cast<double>(after.doorbells - before.doorbells) / n);
-  // Data-plane messages: the sends the batching layer can coalesce (ring
-  // writes, RPC request/response pairs, datagrams). One-sided READs are not
-  // messages -- a read is a NIC-to-memory fetch with no remote send, and no
-  // amount of coalescing merges two reads into one wire transfer -- so the
-  // batched-vs-unbatched gate compares this number, not total verbs.
+  // Data-plane messages: ring writes, RPC request/response pairs and
+  // datagrams. One-sided READs are not messages -- a read is a
+  // NIC-to-memory fetch with no remote send -- so the suite's absolute gate
+  // tracks this number, not total verbs.
   j->Set("dp_msgs_per_tx", writes + rpc_msgs + dgrams);
 }
 

@@ -26,8 +26,6 @@ ChaosRunResult RunPlan(const ExploreOptions& o, const ChaosPlan& plan) {
   ro.accounts = o.accounts;
   ro.seed = o.seed;
   ro.mutate_skip_backup_ack = o.mutate_skip_backup_ack;
-  ro.batch_data_plane = o.batch_data_plane;
-  ro.adaptive_backoff = o.adaptive_backoff;
   return RunChaosPlan(ro, plan);
 }
 

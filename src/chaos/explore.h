@@ -45,11 +45,6 @@ struct ExploreOptions {
   // Thread the deliberate protocol mutation through to every run (the
   // explorer's own regression gate: the sweep must catch it).
   bool mutate_skip_backup_ack = false;
-  // Run every schedule with data-plane batching on, so the sweep covers the
-  // batch-flush fault point and partial-batch delivery after kills.
-  bool batch_data_plane = false;
-  // Run every schedule with adaptive lock-conflict backoff on.
-  bool adaptive_backoff = false;
   // Minimize + replay-check the first failing schedule.
   bool shrink = true;
   // Coverage counters land here when non-null:

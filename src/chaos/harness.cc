@@ -546,8 +546,6 @@ ChaosRunResult RunChaosPlan(const ChaosRunOptions& options, const ChaosPlan& pla
   copts.node.replication_factor = plan.options.replication_factor;
   copts.node.lease.duration = 10 * kMillisecond;
   copts.node.chaos_skip_backup_ack = options.mutate_skip_backup_ack;
-  copts.node.msgr.batch = options.batch_data_plane;
-  copts.node.adaptive_backoff = options.adaptive_backoff;
 
   Cluster cluster(copts);
   cluster.Start();

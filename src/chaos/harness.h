@@ -40,12 +40,6 @@ struct ChaosRunOptions {
   // acks before COMMIT-PRIMARY); used to prove the oracle catches real
   // protocol bugs. Never set outside that test.
   bool mutate_skip_backup_ack = false;
-  // Run the workload with data-plane batching (and its fault points: faults
-  // landing inside a batch flush, partial-batch delivery after a kill).
-  bool batch_data_plane = false;
-  // Run coordinators with adaptive lock-conflict backoff, so the sweep also
-  // covers faults landing while a coordinator sleeps out a backoff delay.
-  bool adaptive_backoff = false;
 };
 
 struct ChaosRunResult {

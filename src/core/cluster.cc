@@ -194,8 +194,6 @@ NodeStats Cluster::TotalStats() const {
     total.recovering_txs_seen += s.recovering_txs_seen;
     total.regions_rereplicated += s.regions_rereplicated;
     total.reconfigurations += s.reconfigurations;
-    total.tx_backoff_waits += s.tx_backoff_waits;
-    total.tx_backoff_ns += s.tx_backoff_ns;
   }
   return total;
 }

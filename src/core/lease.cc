@@ -111,10 +111,10 @@ void LeaseManager::OnDatagram(MachineId from, std::vector<uint8_t> payload) {
   }
 }
 
-void LeaseManager::OnRingMessage(MachineId from, std::vector<uint8_t> payload) {
+void LeaseManager::OnRingMessage(MachineId from, BufReader& r) {
   // Reached via the normal message path (worker CPU already charged).
-  if (payload.size() == 2 && payload[0] == kLeaseMagic) {
-    Process(from, payload[1]);
+  if (r.remaining() == 2 && r.GetU8() == kLeaseMagic) {
+    Process(from, r.GetU8());
   }
 }
 

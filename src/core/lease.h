@@ -20,6 +20,7 @@
 #include <map>
 
 #include "src/common/rand.h"
+#include "src/common/serde.h"
 #include "src/sim/machine.h"
 #include "src/sim/task.h"
 
@@ -62,7 +63,7 @@ class LeaseManager {
 
   // Entry points from the transports.
   void OnDatagram(MachineId from, std::vector<uint8_t> payload);
-  void OnRingMessage(MachineId from, std::vector<uint8_t> payload);
+  void OnRingMessage(MachineId from, BufReader& r);
 
   // Benchmark knobs: background OS activity preempting the (normal
   // priority) lease thread.

@@ -19,28 +19,8 @@
 #include "src/core/wire.h"
 #include "src/net/fabric.h"
 #include "src/nvram/nvram.h"
-#include "src/obs/metrics.h"
 
 namespace farm {
-
-namespace flight {
-class Recorder;
-}  // namespace flight
-
-// Data-plane batching counters (one set per node, "node" label). Copying
-// takes a point-in-time snapshot, like FabricStats.
-struct MsgrStats {
-  metrics::Counter batch_flushes;  // batches flushed to the wire
-  metrics::Counter batch_records;  // log records carried by batches
-  metrics::Counter batch_msgs;     // messages carried by batches
-  metrics::Counter batch_bytes;    // payload bytes carried by batches
-  metrics::Counter batch_rpcs;     // RPCs relayed over the message plane
-  metrics::HistogramMetric batch_size;  // records + messages per flush
-
-  // Rebinds to cells in `reg` ("msgr_batch_flushes", ...), labeled with the
-  // owning node so per-node batching behavior shows up in registry dumps.
-  void BindTo(metrics::Registry& reg, const std::string& node_label);
-};
 
 class Messenger {
  public:
@@ -48,23 +28,13 @@ class Messenger {
     uint32_t txlog_capacity = 1 << 20;
     uint32_t msgq_capacity = 1 << 19;
     int worker_threads = 4;  // inbound processing runs on threads [0, n)
-
-    // ---- data-plane batching (off by default: with `batch` false no
-    // batching state is touched and traces stay byte-identical) ----
-    bool batch = false;
-    // Flush quantum: sends to one destination enqueued within this window
-    // coalesce into a single wire transfer.
-    SimDuration batch_flush_delay = 1000;
-    // Early-flush thresholds (records + messages, payload bytes).
-    uint32_t batch_max_records = 16;
-    uint32_t batch_max_bytes = 16 * 1024;
   };
 
   // seq identifies the stored record for TruncateLogRecord.
   using LogRecordHandler =
       std::function<void(MachineId from, uint64_t seq, const TxLogRecord& rec)>;
-  using MessageHandler =
-      std::function<void(MachineId from, MsgType type, std::vector<uint8_t> payload)>;
+  // `frame` is the message exactly as drained from the ring: [u8 type][body].
+  using MessageHandler = std::function<void(MachineId from, std::vector<uint8_t> frame)>;
 
   Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options);
 
@@ -80,12 +50,7 @@ class Messenger {
   // which mirrors a replacement process registering new queue pairs.
   static void Reconnect(Messenger& a, Messenger& b);
   // Drops all rings (a cold process restart forgetting its queue pairs).
-  // Pending batches are discarded with them: their acks never complete,
-  // mirroring the fabric dropping completions of a dead initiator's ops
-  // (coordinators recover via the commit-resolution timeout).
   void Reset() {
-    batches_.clear();
-    calls_.clear();
     inbound_.clear();
     outbound_.clear();
   }
@@ -93,15 +58,6 @@ class Messenger {
 
   MachineId id() const { return machine_.id(); }
   Machine& machine() { return machine_; }
-
-  // Binds the batching counters into `reg` with a per-node label.
-  void BindStats(metrics::Registry& reg, const std::string& node_label) {
-    stats_.BindTo(reg, node_label);
-  }
-  const MsgrStats& stats() const { return stats_; }
-  // Attaches the node's flight recorder; batch flushes then leave
-  // batch-flush records (which double as injectable fault points).
-  void SetFlightRecorder(flight::Recorder* rec) { flight_ = rec; }
 
   // ---- transaction log ----
   bool ReserveLog(MachineId dst, uint32_t payload_len);
@@ -115,17 +71,6 @@ class Messenger {
 
   // ---- messages ----
   void SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> payload, int thread_idx);
-
-  // RPC over the message plane. With batching off (or to self, or with no
-  // ring pair to `dst`) this delegates verbatim to Fabric::Call, so default
-  // traces are unchanged. With batching on, the request and response ride
-  // the batched message rings (kRpcReq/kRpcResp) and coalesce with
-  // same-destination log appends and messages -- a function-shipped
-  // operation then costs ring writes instead of dedicated RPC messages.
-  // `thread_idx` is the issuing worker thread (< 0: none). The timeout
-  // resolves the future with StatusCode::kTimedOut, matching the fabric.
-  Future<NetResult> Call(MachineId dst, uint16_t service, std::vector<uint8_t> request,
-                         int thread_idx, SimDuration timeout = 4 * kMillisecond);
 
   // ---- recovery support ----
   // Synchronously processes everything already in the inbound rings
@@ -176,33 +121,8 @@ class Messenger {
     std::unique_ptr<RingSender> msgq;
   };
 
-  // Per-destination batch being accumulated for the current flush quantum.
-  // Ring reservations are taken at enqueue time (so commit-time reservation
-  // semantics are unchanged); the wire write happens at flush.
-  struct PendingBatch {
-    std::vector<std::vector<uint8_t>> msgs;  // framed [type][body] messages
-    std::vector<uint32_t> msg_reservations;  // per-message msgq reservations
-    uint64_t msg_bytes = 0;
-    std::vector<RingSender::BatchEntry> logs;
-    std::vector<Future<NetResult>> log_acks;  // completed from the one wire ack
-    uint64_t log_bytes = 0;
-    int flush_thread = -1;  // first enqueuer's thread; charged the flush CPU
-    bool flush_scheduled = false;
-    // Flush-identity token: a scheduled flush event only fires if the batch
-    // it was scheduled for still exists (an early threshold flush, Reset, or
-    // Reconnect replaces the batch and bumps the generation).
-    uint64_t gen = 0;
-  };
-
-  PendingBatch& BatchFor(MachineId dst, int thread_idx);
-  void ScheduleFlush(MachineId dst);
-  void FlushBatch(MachineId dst, uint64_t gen);
-
   void SchedulePoll(MachineId from, bool is_log);
   void ProcessInbound(MachineId from, bool is_log);
-  // Routes one inbound message: intercepts the RPC relay types
-  // (kRpcReq/kRpcResp), forwards everything else to msg_handler_.
-  void DispatchMessage(MachineId from, MsgType type, std::vector<uint8_t> body);
   void MaybeSendFeedback(MachineId from);
   int WorkerFor(MachineId from) const {
     return static_cast<int>(from % static_cast<MachineId>(options_.worker_threads));
@@ -216,14 +136,6 @@ class Messenger {
   MessageHandler msg_handler_;
   std::map<MachineId, Inbound> inbound_;
   std::map<MachineId, Outbound> outbound_;
-  std::map<MachineId, PendingBatch> batches_;
-  uint64_t batch_gen_ = 0;
-  // In-flight message-plane RPCs by call id (batching on only). A ring
-  // teardown (Reset/Reconnect) strands the entry; the timeout resolves it.
-  std::map<uint64_t, Future<NetResult>> calls_;
-  uint64_t next_call_id_ = 1;
-  MsgrStats stats_;
-  flight::Recorder* flight_ = nullptr;
   uint64_t log_bytes_sent_ = 0;
 };
 

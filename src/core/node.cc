@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/hash.h"
 #include "src/common/logging.h"
-#include "src/common/rand.h"
 #include "src/core/cluster.h"
 #include "src/core/flight_hooks.h"
 #include "src/obs/trace.h"
@@ -33,8 +31,6 @@ void NodeStats::BindTo(metrics::Registry& reg, const std::string& node_label) {
   recovering_txs_seen = reg.GetCounter("recovering_txs_seen", labels);
   regions_rereplicated = reg.GetCounter("regions_rereplicated", labels);
   reconfigurations = reg.GetCounter("reconfigurations", labels);
-  tx_backoff_waits = reg.GetCounter("tx_backoff_waits", labels);
-  tx_backoff_ns = reg.GetCounter("tx_backoff_ns", labels);
 }
 
 Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions options)
@@ -49,14 +45,12 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   phase_metrics_.BindTo(cluster_->metrics_registry());
   options_.msgr.worker_threads = options_.worker_threads;
   messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr);
-  messenger_->BindStats(cluster_->metrics_registry(), "m" + std::to_string(machine_->id()));
-  messenger_->SetFlightRecorder(flight_);
   messenger_->SetHandlers(
       [this](MachineId from, uint64_t seq, const TxLogRecord& rec) {
         HandleLogRecord(from, seq, rec);
       },
-      [this](MachineId from, MsgType type, std::vector<uint8_t> payload) {
-        HandleMessage(from, type, std::move(payload));
+      [this](MachineId from, std::vector<uint8_t> frame) {
+        HandleMessage(from, std::move(frame));
       });
   lease_ = std::make_unique<LeaseManager>(this, options_.lease);
   fabric().SetDatagramHandler(id(), [this](MachineId from, std::vector<uint8_t> payload) {
@@ -402,51 +396,6 @@ std::vector<TxId> Node::TakeTruncationsFor(MachineId dst, size_t max) {
   return out;
 }
 
-void Node::NoteLockOutcome(int thread, RegionId region, bool conflict) {
-  if (!options_.adaptive_backoff) {
-    return;
-  }
-  const double alpha = options_.backoff_ewma_alpha;
-  double& ewma = conflict_ewma_[{thread, region}];
-  if (conflict) {
-    ewma += alpha * (1.0 - ewma);
-  } else {
-    ewma *= 1.0 - alpha;
-    // Drop cold entries so a long run's map stays bounded by the hot set.
-    if (ewma < 1e-4) {
-      conflict_ewma_.erase({thread, region});
-    }
-  }
-}
-
-SimDuration Node::LockBackoffDelay(int thread, const TxId& id,
-                                   const std::vector<RegionId>& regions) {
-  if (!options_.adaptive_backoff) {
-    return 0;
-  }
-  // The hottest region the transaction touched decides the delay.
-  double hottest = 0.0;
-  for (RegionId r : regions) {
-    auto it = conflict_ewma_.find({thread, r});
-    if (it != conflict_ewma_.end() && it->second > hottest) {
-      hottest = it->second;
-    }
-  }
-  if (hottest <= 0.01) {
-    return 0;  // essentially uncontended: retry immediately
-  }
-  // Delay window scales with the conflict rate, bounded by backoff_max.
-  // Jitter is seeded from (sim clock, tx id, thread): pure function of
-  // simulation state, so same-seed runs back off identically, yet two
-  // coordinators colliding at the same instant draw different delays.
-  SimDuration span = static_cast<SimDuration>(
-      static_cast<double>(options_.backoff_max - options_.backoff_base) * hottest);
-  Pcg32 jitter(HashCombine(HashCombine(sim().Now(), id.local), id.thread),
-               static_cast<uint64_t>(thread));
-  SimDuration delay = options_.backoff_base + jitter.Uniform64(span + 1);
-  return delay < options_.backoff_max ? delay : options_.backoff_max;
-}
-
 void Node::TruncationDequeued(const TxId& tx_id, bool dispatched) {
   auto it = truncate_pending_.find(tx_id);
   if (it == truncate_pending_.end()) {
@@ -771,8 +720,9 @@ void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_w
 // Message dispatch
 // ---------------------------------------------------------------------------
 
-void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload) {
-  BufReader r(payload);
+void Node::HandleMessage(MachineId from, std::vector<uint8_t> frame) {
+  BufReader r(frame);
+  MsgType type = static_cast<MsgType>(r.GetU8());
   switch (type) {
     case MsgType::kLockReply: {
       TxId tx_id = GetTxId(r);
@@ -798,7 +748,8 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
     case MsgType::kReply: {
       uint64_t correlation = r.GetU64();
       auto code = static_cast<StatusCode>(r.GetU8());
-      std::vector<uint8_t> body(payload.begin() + 9, payload.end());
+      // Body follows [u8 type][u64 correlation][u8 code].
+      std::vector<uint8_t> body(frame.begin() + 10, frame.end());
       auto it = pending_requests_.find(correlation);
       if (it != pending_requests_.end()) {
         auto fut = it->second;
@@ -927,7 +878,7 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
       HandleTruncateRecovery(from, r);
       break;
     case MsgType::kLeaseMsg:
-      lease_->OnRingMessage(from, std::move(payload));
+      lease_->OnRingMessage(from, r);
       break;
     default:
       FARM_LOG(Warn) << "node " << id() << ": unhandled message type "

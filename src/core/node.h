@@ -71,16 +71,6 @@ struct NodeOptions {
   // How often a live member checks the coordination service for its own
   // eviction (restart-and-rejoin trigger). 0 disables the monitor.
   SimDuration eviction_check_interval = 20 * kMillisecond;
-  // Adaptive lock-conflict backoff (off by default: coordinators retry
-  // immediately and no backoff state is touched, preserving traces).
-  // When on, each (thread, region) pair tracks a conflict-rate EWMA; a lock
-  // abort on a contended region sleeps a bounded, deterministic
-  // (sim-clock-seeded) delay before surfacing the abort, de-synchronizing
-  // colliding coordinators.
-  bool adaptive_backoff = false;
-  SimDuration backoff_base = 2 * kMicrosecond;
-  SimDuration backoff_max = 256 * kMicrosecond;
-  double backoff_ewma_alpha = 0.25;
   // Chaos-only protocol mutation: commit without waiting for COMMIT-BACKUP
   // hardware acks. Deliberately UNSAFE -- it exists so the chaos oracle can
   // demonstrate it catches the resulting serializability violations.
@@ -101,8 +91,6 @@ struct NodeStats {
   metrics::Counter recovering_txs_seen;   // counted at vote coordinators
   metrics::Counter regions_rereplicated;
   metrics::Counter reconfigurations;
-  metrics::Counter tx_backoff_waits;   // lock-conflict aborts that backed off
-  metrics::Counter tx_backoff_ns;      // total simulated ns spent backing off
 
   // Rebinds every field to labeled cells in `reg` (e.g. tx_committed{node="m3"}),
   // so the registry dump breaks counts down per node.
@@ -210,16 +198,6 @@ class Node {
   // Pops up to `max` pending truncation ids for records headed to `dst`.
   std::vector<TxId> TakeTruncationsFor(MachineId dst, size_t max);
 
-  // Adaptive lock-conflict backoff (coordinator side; no-ops with
-  // options_.adaptive_backoff off). NoteLockOutcome feeds the per-
-  // (thread, region) conflict EWMA; LockBackoffDelay maps the hottest
-  // region's EWMA to a bounded retry delay with deterministic jitter
-  // seeded from (sim clock, tx id, thread) -- no global RNG state, so
-  // same-seed runs replay identically.
-  void NoteLockOutcome(int thread, RegionId region, bool conflict);
-  SimDuration LockBackoffDelay(int thread, const TxId& id,
-                               const std::vector<RegionId>& regions);
-
   // Generic request/reply over the message queues. Returns the reply body.
   Task<StatusOr<std::vector<uint8_t>>> Request(MachineId dst, MsgType type,
                                                std::vector<uint8_t> body, int thread,
@@ -258,7 +236,8 @@ class Node {
 
   // ---- participant-side processing (node.cc) ----
   void HandleLogRecord(MachineId from, uint64_t seq, const TxLogRecord& rec);
-  void HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload);
+  // `frame` is [u8 MsgType][body], as drained from the message ring.
+  void HandleMessage(MachineId from, std::vector<uint8_t> frame);
   void ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec);
   void ProcessCommitPrimary(MachineId from, const TxLogRecord& rec);
   void ProcessAbort(MachineId from, const TxLogRecord& rec);
@@ -459,10 +438,6 @@ class Node {
   std::set<MachineId> regions_active_pending_;
   // Data recovery progress (read by benches via cluster stats).
   int data_recovery_inflight_ = 0;
-
-  // Conflict-rate EWMA per (coordinator thread, region); only populated
-  // when adaptive backoff is on. std::map keeps iteration deterministic.
-  std::map<std::pair<int, RegionId>, double> conflict_ewma_;
 
   NodeStats stats_;
   flight::Recorder* flight_ = nullptr;

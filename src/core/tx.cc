@@ -433,23 +433,7 @@ Task<Status> Transaction::Commit() {
       pm.CountAbort(flight::AbortReason::kLockConflict);
       FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
                   static_cast<uint8_t>(flight::AbortReason::kLockConflict));
-      // Adaptive backoff (no-op unless opts.adaptive_backoff): bump the
-      // conflict EWMA for every written region and hold the abort result
-      // back for a bounded, deterministic delay so the application-level
-      // retry de-synchronizes from the coordinators it just collided with.
-      for (RegionId r : p.written_regions) {
-        node_->NoteLockOutcome(thread_, r, /*conflict=*/true);
-      }
-      SimDuration backoff = node_->LockBackoffDelay(thread_, id_, p.written_regions);
-      if (backoff > 0) {
-        node_->mutable_stats().tx_backoff_waits++;
-        node_->mutable_stats().tx_backoff_ns += backoff;
-        co_await SleepFor(node_->sim(), backoff);
-      }
       co_return AbortedStatus("lock conflict");
-    }
-    for (RegionId r : p.written_regions) {
-      node_->NoteLockOutcome(thread_, r, /*conflict=*/false);
     }
     pm.RecordPhase(flight::Phase::kLock, node_->sim().Now() - lock_start);
     FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,

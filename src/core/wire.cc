@@ -109,23 +109,4 @@ size_t TxLogRecord::SerializedSize() const {
   return n;
 }
 
-std::vector<uint8_t> EncodeBatchBody(const std::vector<std::vector<uint8_t>>& subs) {
-  BufWriter w;
-  w.PutU32(static_cast<uint32_t>(subs.size()));
-  for (const std::vector<uint8_t>& sub : subs) {
-    w.PutBytes(sub.data(), sub.size());
-  }
-  return w.Take();
-}
-
-std::vector<std::vector<uint8_t>> DecodeBatchBody(BufReader& r) {
-  uint32_t count = r.GetU32();
-  std::vector<std::vector<uint8_t>> subs;
-  subs.reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    subs.push_back(r.GetBytes());
-  }
-  return subs;
-}
-
 }  // namespace farm

@@ -65,15 +65,6 @@ enum class MsgType : uint8_t {
   kReply = 60,
   // Lease handshake over the message queues (the RPC lease variant).
   kLeaseMsg = 70,
-  // Data-plane batching envelope: count + length-prefixed sub-messages, each
-  // a complete framed message ([u8 type][body]). The receiver unpacks and
-  // dispatches the sub-messages in order.
-  kBatch = 80,
-  // RPC relayed over the batched message plane (Messenger::Call): request is
-  // [u16 service][u64 call_id][u32 len|payload], response is
-  // [u64 call_id][u8 code][u32 len|payload] with code 0 = ok.
-  kRpcReq = 81,
-  kRpcResp = 82,
 };
 
 // Recovery vote values (section 5.3, step 6).
@@ -139,12 +130,6 @@ constexpr uint32_t kTxIdWireBytes = 22;
 constexpr size_t PiggybackSlack(size_t max_slots, size_t used) {
   return used >= max_slots ? 0 : (max_slots - used) * kTxIdWireBytes;
 }
-
-// Body of a MsgType::kBatch envelope: u32 count, then each sub-message as a
-// length-prefixed byte string. Each sub-message is itself a complete framed
-// message ([u8 type][body]).
-std::vector<uint8_t> EncodeBatchBody(const std::vector<std::vector<uint8_t>>& subs);
-std::vector<std::vector<uint8_t>> DecodeBatchBody(BufReader& r);
 
 }  // namespace farm
 

@@ -33,7 +33,6 @@ struct CostModel {
   // --- CPU: FaRM ring-buffer log/message processing ---
   SimDuration cpu_log_poll = 250;             // notice + parse a polled record
   SimDuration cpu_lock_per_object = 180;      // version CAS + bookkeeping
-  SimDuration cpu_apply_per_byte = 0.0 + 0;   // unused placeholder (kept 0)
 
   // --- CPU: transaction execution bookkeeping at the coordinator ---
   SimDuration cpu_tx_begin = 150;
@@ -41,29 +40,10 @@ struct CostModel {
   SimDuration cpu_tx_write_buffer = 200;      // buffer a write locally
   SimDuration cpu_tx_commit_setup = 400;      // reservations + record marshalling
 
-  // --- Doorbell batching ---
-  // Real RNICs let the driver post N work requests and ring the doorbell
-  // once; the MMIO + per-message setup cost is paid once per batch, with a
-  // much smaller per-op gap for the chained requests.
-  SimDuration nic_doorbell_gap = 16;          // per chained op after the first
-  SimDuration cpu_rdma_issue_batched = 150;   // per extra work request in a batch
-
   // NIC occupancy of one message carrying `bytes` of payload.
   SimDuration NicOccupancy(uint64_t bytes) const {
     SimDuration transfer = static_cast<SimDuration>(static_cast<double>(bytes) / nic_bytes_per_ns);
     return transfer > nic_msg_gap ? transfer : nic_msg_gap;
-  }
-
-  // NIC occupancy of a doorbell batch: `ops` messages totaling `bytes`,
-  // posted with one doorbell. A batch of one degenerates to NicOccupancy
-  // exactly, so unbatched runs keep their byte-identical traces.
-  SimDuration NicOccupancyBatch(uint32_t ops, uint64_t bytes) const {
-    if (ops <= 1) {
-      return NicOccupancy(bytes);
-    }
-    SimDuration transfer = static_cast<SimDuration>(static_cast<double>(bytes) / nic_bytes_per_ns);
-    SimDuration gaps = nic_msg_gap + static_cast<SimDuration>(ops - 1) * nic_doorbell_gap;
-    return transfer > gaps ? transfer : gaps;
   }
 
   // CPU time to copy/touch `bytes` in a handler.

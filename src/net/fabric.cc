@@ -245,53 +245,6 @@ Future<NetResult> Fabric::Write(MachineId src, MachineId dst, uint64_t addr,
                   std::move(data), 0, 0, thread, std::move(on_delivered));
 }
 
-Future<NetResult> Fabric::WriteBatch(MachineId src, MachineId dst, std::vector<WriteSeg> segs,
-                                     HwThread* thread, std::function<void()> on_delivered) {
-  FARM_CHECK(!segs.empty());
-  if (segs.size() == 1) {
-    // A batch of one is a plain write and pays plain-write costs.
-    return Write(src, dst, segs[0].addr, std::move(segs[0].data), thread,
-                 std::move(on_delivered));
-  }
-  Ep(src);  // validate endpoints exist
-  Ep(dst);
-
-  uint64_t payload_bytes = 0;
-  uint64_t req_bytes = 0;
-  for (const WriteSeg& s : segs) {
-    payload_bytes += s.data.size();
-    req_bytes += kVerbHeaderBytes + s.data.size();
-  }
-  // Each segment is a real wire message; the batch amortizes only doorbell,
-  // issue CPU, and the signaled completion.
-  stats_.rdma_writes += segs.size();
-  stats_.rdma_bytes += payload_bytes;
-  stats_.doorbells++;
-  TraceOp("rdma_write_batch", src, thread, "rdma_bytes", stats_.rdma_bytes);
-
-  OneSidedOp* op = AcquireOneSided();
-  op->verb = Verb::kWrite;
-  op->src = src;
-  op->dst = dst;
-  op->addr = 0;
-  op->len = static_cast<uint32_t>(payload_bytes);
-  op->expected = 0;
-  op->desired = 0;
-  op->thread = thread;
-  op->segs = std::move(segs);
-  op->batch_ops = static_cast<uint32_t>(op->segs.size());
-  op->on_delivered = std::move(on_delivered);
-  op->done = Future<NetResult>();
-  op->req_bytes = req_bytes;
-  op->resp_bytes = kAckBytes;  // one signaled hardware ack for the batch
-
-  SimDuration issue_cpu =
-      cost_.cpu_rdma_issue + static_cast<SimDuration>(op->batch_ops - 1) * cost_.cpu_rdma_issue_batched;
-  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(issue_cpu) : sim_.Now();
-  sim_.At(issue_done, [op]() { op->fabric->OneSidedIssue(op); });
-  return op->done;
-}
-
 Future<NetResult> Fabric::Cas(MachineId src, MachineId dst, uint64_t addr, uint64_t expected,
                               uint64_t desired, HwThread* thread) {
   stats_.rdma_cas++;
@@ -315,8 +268,6 @@ Fabric::OneSidedOp* Fabric::AcquireOneSided() {
 
 void Fabric::ReleaseOneSided(OneSidedOp* op) {
   op->data.clear();
-  op->segs.clear();
-  op->batch_ops = 1;
   op->on_delivered = nullptr;
   op->result.status = OkStatus();
   op->result.data.clear();
@@ -380,7 +331,7 @@ void Fabric::OneSidedIssue(OneSidedOp* op) {
     return;
   }
   NicPort& src_nic = PickNic(Ep(op->src));
-  SimTime sent = src_nic.Acquire(sim_.Now(), cost_.NicOccupancyBatch(op->batch_ops, op->req_bytes));
+  SimTime sent = src_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes));
   SimTime arrival = sent + cost_.wire_latency;
   sim_.At(arrival, [op]() { op->fabric->OneSidedArrive(op); });
 }
@@ -392,8 +343,7 @@ void Fabric::OneSidedArrive(OneSidedOp* op) {
   }
   NicPort& dst_nic = PickNic(Ep(op->dst));
   // The target NIC serves the verb: DMA in/out of target memory.
-  SimTime served =
-      dst_nic.Acquire(sim_.Now(), cost_.NicOccupancyBatch(op->batch_ops, op->req_bytes + op->resp_bytes));
+  SimTime served = dst_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes + op->resp_bytes));
   sim_.At(served, [op]() { op->fabric->OneSidedServe(op); });
 }
 
@@ -414,16 +364,7 @@ void Fabric::OneSidedServe(OneSidedOp* op) {
       break;
     }
     case Verb::kWrite: {
-      bool ok = true;
-      if (!op->segs.empty()) {
-        // Doorbell batch: segments land in posting order, then one ack.
-        for (const WriteSeg& s : op->segs) {
-          ok = dst_ep.memory->RdmaWrite(s.addr, s.data.data(), s.data.size()) && ok;
-        }
-      } else {
-        ok = dst_ep.memory->RdmaWrite(op->addr, op->data.data(), op->data.size());
-      }
-      if (!ok) {
+      if (!dst_ep.memory->RdmaWrite(op->addr, op->data.data(), op->data.size())) {
         result.status = Status(StatusCode::kInvalidArgument, "rdma write protection fault");
       } else if (op->on_delivered) {
         op->on_delivered();
@@ -477,37 +418,6 @@ void Fabric::RegisterRpcService(MachineId m, uint16_t service, int thread_lo, in
   svc.thread_hi = thread_hi;
   svc.next_thread = thread_lo;
   ep.services[service] = std::move(svc);
-}
-
-bool Fabric::InvokeRpcService(MachineId dst, uint16_t service, MachineId from,
-                              std::vector<uint8_t>& request, ReplyFn reply) {
-  if (!IsAlive(dst)) {
-    return false;
-  }
-  Endpoint& dep = Ep(dst);
-  auto it = dep.services.find(service);
-  if (it == dep.services.end()) {
-    return false;
-  }
-  Endpoint::Service& svc = it->second;
-  int tid = svc.next_thread;
-  svc.next_thread = svc.next_thread >= svc.thread_hi ? svc.thread_lo : svc.next_thread + 1;
-  HwThread& handler_thread = dep.machine->thread(tid);
-  SimDuration handler_cost = cost_.cpu_rpc_handler + cost_.CpuBytes(request.size());
-  FlightMsg(dep.flight, sim_.Now(), flight::EventKind::kMsgRecv, service, from);
-  // Same guard shape as the wire path: if the machine dies before the
-  // handler runs, the thread's guard drops the event and the reply is never
-  // produced (the caller's timeout covers it).
-  handler_thread.Run(handler_cost, [this, dst, service, from, req = std::move(request),
-                                    rep = std::move(reply)]() mutable {
-    Endpoint& d = Ep(dst);
-    auto i2 = d.services.find(service);
-    if (i2 == d.services.end()) {
-      return;  // service vanished while the request was queued
-    }
-    i2->second.handler(from, std::move(req), std::move(rep));
-  });
-  return true;
 }
 
 Fabric::RpcOp* Fabric::AcquireRpc() {

@@ -37,13 +37,6 @@ struct NetResult {
   std::vector<uint8_t> data;
 };
 
-// One write in a doorbell batch: N same-destination writes posted together
-// and rung with a single MMIO doorbell (Fabric::WriteBatch).
-struct WriteSeg {
-  uint64_t addr = 0;
-  std::vector<uint8_t> data;
-};
-
 // Per-link fault policy for the chaos layer. Applies to RPC and datagram
 // traffic on a directed (src, dst) link; one-sided verbs model reliable RC
 // transport and are only affected by partitions and machine death.
@@ -71,7 +64,8 @@ struct FabricStats {
   metrics::Counter datagrams;
   metrics::Counter rdma_bytes;
   metrics::Counter rpc_bytes;
-  // Doorbell batches posted via WriteBatch (one per multi-op MMIO ring).
+  // Multi-op doorbell batches. Nothing posts one, so it reads 0; kept
+  // because benchmark reports export it.
   metrics::Counter doorbells;
   // Injected-fault counters (chaos layer); only move when LinkFaults are set.
   metrics::Counter faults_dropped;
@@ -123,14 +117,6 @@ class Fabric {
   Future<NetResult> Write(MachineId src, MachineId dst, uint64_t addr,
                           std::vector<uint8_t> data, HwThread* thread = nullptr,
                           std::function<void()> on_delivered = nullptr);
-  // Doorbell batch: N writes to `dst` posted with one doorbell. Each segment
-  // is a full wire message (counted in rdma_writes and paying per-op wire
-  // bytes) but the batch pays the MMIO/setup overhead once and completes
-  // with a single signaled hardware ack. `on_delivered` fires once, after
-  // all segments are in target memory. A batch of one is a plain Write.
-  Future<NetResult> WriteBatch(MachineId src, MachineId dst, std::vector<WriteSeg> segs,
-                               HwThread* thread = nullptr,
-                               std::function<void()> on_delivered = nullptr);
   // CAS on a 64-bit word; on success result.data holds the observed value.
   Future<NetResult> Cas(MachineId src, MachineId dst, uint64_t addr, uint64_t expected,
                         uint64_t desired, HwThread* thread = nullptr);
@@ -147,15 +133,6 @@ class Fabric {
   Future<NetResult> Call(MachineId src, MachineId dst, uint16_t service,
                          std::vector<uint8_t> request, HwThread* thread = nullptr,
                          SimDuration timeout = 4 * kMillisecond);
-
-  // Invokes machine `dst`'s registered service `service` as if a request from
-  // `from` had arrived, with the usual handler thread selection and CPU
-  // charge -- but no wire transport. The batched messenger uses this to carry
-  // RPCs over the message rings (Messenger::Call); the reply closure is the
-  // caller's return path. Returns false (without consuming `request`) when
-  // the machine is dead or the service is not registered.
-  bool InvokeRpcService(MachineId dst, uint16_t service, MachineId from,
-                        std::vector<uint8_t>& request, ReplyFn reply);
 
   // ---- Unreliable datagrams (lease traffic) ----
   using DatagramHandler = std::function<void(MachineId from, std::vector<uint8_t> payload)>;
@@ -267,9 +244,7 @@ class Fabric {
     uint64_t expected = 0;
     uint64_t desired = 0;
     HwThread* thread = nullptr;
-    std::vector<uint8_t> data;   // request payload (single writes)
-    std::vector<WriteSeg> segs;  // doorbell-batch payloads (WriteBatch)
-    uint32_t batch_ops = 1;      // wire messages in this op (1 = unbatched)
+    std::vector<uint8_t> data;  // request payload (writes)
     std::function<void()> on_delivered;
     Future<NetResult> done;
     NetResult result;

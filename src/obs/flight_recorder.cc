@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/obs/fault_hook.h"
 
@@ -17,7 +16,7 @@ const char* const kEventKindNames[kNumEventKinds] = {
     "phase-begin",    "phase-end",      "lock-acquire",  "lock-reject",
     "validate-fail",  "abort",          "commit-backup", "commit-primary",
     "abort-record",   "truncate",       "msg-send",      "msg-recv",
-    "recovery",       "reconfig",       "batch-flush",
+    "recovery",       "reconfig",
 };
 
 const char* const kPhaseNames[kNumPhases] = {
@@ -165,32 +164,6 @@ const char* PointName(EventKind k, uint8_t arg) {
       break;
   }
   return EventKindName(k);
-}
-
-std::vector<const char*> AllPointNames() {
-  std::vector<const char*> out;
-  for (int k = 1; k <= kNumEventKinds; k++) {
-    EventKind kind = static_cast<EventKind>(k);
-    switch (kind) {
-      case EventKind::kPhaseBegin:
-      case EventKind::kPhaseEnd:
-        for (int p = 0; p < kNumPhases; p++) {
-          out.push_back(PointName(kind, static_cast<uint8_t>(p)));
-        }
-        break;
-      case EventKind::kRecoveryStep:
-        for (int s = 1; s <= kNumRecoverySteps; s++) {
-          out.push_back(PointName(kind, static_cast<uint8_t>(s)));
-        }
-        break;
-      default:
-        out.push_back(EventKindName(kind));
-        break;
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const char* a, const char* b) { return std::strcmp(a, b) < 0; });
-  return out;
 }
 
 Recorder::Recorder(uint32_t machine, size_t capacity)

@@ -50,9 +50,8 @@ enum class EventKind : uint8_t {
   kMsgRecv,            // fabric: RPC handler invoked (arg = service, detail = src)
   kRecoveryStep,       // recovery machinery progressed (arg = RecoveryStep)
   kReconfig,           // new configuration installed (detail = config id)
-  kBatchFlush,         // messenger: data-plane batch flushed (arg = records, detail = dst)
 };
-constexpr int kNumEventKinds = 15;
+constexpr int kNumEventKinds = 14;
 
 // Commit-protocol phases, in paper order (section 4). `execute` is the
 // span from transaction begin to Commit(); `truncate` is coordinator-side
@@ -112,10 +111,6 @@ const char* RecoveryStepName(RecoveryStep s);
 // can pass it around without allocating. Every name doubles as an
 // injectable fault-point id (see src/obs/fault_hook.h).
 const char* PointName(EventKind k, uint8_t arg);
-
-// All point names a ring could ever emit, sorted; for tooling that wants to
-// enumerate the taxonomy without observing a run.
-std::vector<const char*> AllPointNames();
 
 // One protocol event. Exactly 32 bytes, trivially copyable, pointer-free
 // (enforced by the static_asserts below and the farmlint recorder-pod rule).

@@ -274,11 +274,8 @@ Task<bool> TatpDb::UpdateLocation(Node& node, int thread, Pcg32& rng) const {
     BufWriter w;
     w.PutU64(s);
     w.PutU32(location);
-    // Via the messenger so that, with batching on, the shipped update rides
-    // the coalesced message rings instead of a dedicated RPC exchange
-    // (delegates straight to the fabric when batching is off).
-    NetResult r = co_await node.messenger().Call(target, kTatpRpcService, w.Take(), thread,
-                                                 50 * kMillisecond);
+    NetResult r = co_await node.fabric().Call(node.id(), target, kTatpRpcService, w.Take(),
+                                              &node.machine().thread(thread), 50 * kMillisecond);
     co_return r.status.ok() && !r.data.empty() && r.data[0] == 1;
   }
   auto attempt_fn = [&]() -> Task<Status> {

@@ -3,6 +3,7 @@
 // coordination-service CAS, and simulation determinism.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 
 #include "src/ds/hashtable.h"
@@ -33,6 +34,15 @@ struct FailureScenario {
 };
 
 class BankInvariantSweep : public ::testing::TestWithParam<FailureScenario> {};
+
+// Prints a scenario as "seed101_backup". CMake's test discovery names each
+// instance after its printed parameter; without this, gtest prints the
+// struct's raw bytes, padding included, and the test names differ between
+// builds.
+void PrintTo(const FailureScenario& scenario, std::ostream* os) {
+  static const char* const kVictims[] = {"backup", "primary", "cm", "idle"};
+  *os << "seed" << scenario.seed << "_" << kVictims[scenario.victim_kind];
+}
 
 TEST_P(BankInvariantSweep, TotalConservedThroughFailure) {
   const FailureScenario scenario = GetParam();
@@ -296,63 +306,6 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
     std::memcpy(fb, &head, 8);
   }
   EXPECT_EQ(received, 500);
-  EXPECT_EQ(sent_crc, recv_crc);
-}
-
-// Same stress through the batched path: random record counts per batch,
-// random sizes, across many wraps. The receiver must not be able to tell
-// batches from sequential appends.
-TEST(RingProperty, RandomBatchesSurviveWraps) {
-  Simulator sim;
-  Fabric fabric(sim, CostModel{});
-  Machine m0(sim, 0, 2, 0);
-  Machine m1(sim, 1, 2, 1);
-  NvramStore s0;
-  NvramStore s1;
-  fabric.AddMachine(&m0, &s0);
-  fabric.AddMachine(&m1, &s1);
-
-  const uint32_t kCap = 2048;
-  RingReceiver rx(&s1, kCap);
-  uint8_t* fb = nullptr;
-  s0.Allocate(8, &fb);
-  RingSender tx(&fabric, 0, 1, rx.data_base(), kCap, fb, &s0, nullptr, []() {});
-
-  Pcg32 rng(29);
-  uint64_t sent_crc = 0;
-  uint64_t recv_crc = 0;
-  int sent = 0;
-  int received = 0;
-  for (int round = 0; round < 200; round++) {
-    uint32_t n = rng.Uniform(4) + 1;
-    std::vector<RingSender::BatchEntry> entries;
-    for (uint32_t i = 0; i < n; i++) {
-      uint32_t len = rng.Uniform(100) + 1;
-      std::vector<uint8_t> payload(len);
-      for (auto& b : payload) {
-        b = static_cast<uint8_t>(rng.Next());
-      }
-      if (!tx.Reserve(len)) {
-        break;  // ring momentarily full: flush what we have
-      }
-      sent_crc = HashCombine(sent_crc, Fnv1a(payload.data(), payload.size()));
-      sent++;
-      entries.push_back({std::move(payload), len});
-    }
-    ASSERT_FALSE(entries.empty()) << "round " << round;
-    auto segs = tx.PrepareBatch(std::move(entries));
-    ASSERT_LE(segs.size(), 2u) << "one wrap max per batch";
-    (void)fabric.WriteBatch(0, 1, std::move(segs), nullptr, nullptr);
-    sim.Run();
-    rx.Drain([&](uint64_t seq, std::vector<uint8_t> p) {
-      recv_crc = HashCombine(recv_crc, Fnv1a(p.data(), p.size()));
-      received++;
-      rx.MarkFreeable(seq);
-    });
-    uint64_t head = rx.head();
-    std::memcpy(fb, &head, 8);
-  }
-  EXPECT_EQ(received, sent);
   EXPECT_EQ(sent_crc, recv_crc);
 }
 

@@ -286,14 +286,14 @@ TEST_F(RingTest, MessengerLogRoundTrip) {
   Messenger::Connect(a, b);
 
   std::vector<TxLogRecord> received;
-  std::vector<std::pair<MsgType, std::vector<uint8_t>>> messages;
+  std::vector<std::vector<uint8_t>> messages;
   b.SetHandlers(
       [&](MachineId from, uint64_t seq, const TxLogRecord& rec) {
         EXPECT_EQ(from, 0u);
         (void)seq;
         received.push_back(rec);
       },
-      [&](MachineId, MsgType t, std::vector<uint8_t> p) { messages.push_back({t, std::move(p)}); });
+      [&](MachineId, std::vector<uint8_t> frame) { messages.push_back(std::move(frame)); });
 
   TxLogRecord rec;
   rec.type = LogRecordType::kLock;
@@ -313,8 +313,9 @@ TEST_F(RingTest, MessengerLogRoundTrip) {
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].tx, rec.tx);
   ASSERT_EQ(messages.size(), 1u);
-  EXPECT_EQ(messages[0].first, MsgType::kLockReply);
-  EXPECT_EQ(messages[0].second, (std::vector<uint8_t>{0xaa}));
+  // The handler gets the frame as drained: type byte, then the body.
+  EXPECT_EQ(messages[0],
+            (std::vector<uint8_t>{static_cast<uint8_t>(MsgType::kLockReply), 0xaa}));
 
   // The record is stored until truncated.
   int stored = 0;
@@ -330,7 +331,7 @@ TEST_F(RingTest, MessengerSelfRings) {
 
   int got = 0;
   a.SetHandlers([&](MachineId, uint64_t, const TxLogRecord&) {},
-                [&](MachineId from, MsgType, std::vector<uint8_t>) {
+                [&](MachineId from, std::vector<uint8_t>) {
                   EXPECT_EQ(from, 0u);
                   got++;
                 });
@@ -339,276 +340,12 @@ TEST_F(RingTest, MessengerSelfRings) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(WireTest, BatchEnvelopeRoundTrip) {
-  std::vector<std::vector<uint8_t>> subs = {{1, 2, 3}, {}, {0xFF}, std::vector<uint8_t>(300, 7)};
-  auto body = EncodeBatchBody(subs);
-  BufReader r(body);
-  auto back = DecodeBatchBody(r);
-  ASSERT_EQ(back.size(), subs.size());
-  for (size_t i = 0; i < subs.size(); i++) {
-    EXPECT_EQ(back[i], subs[i]) << "sub-message " << i;
-  }
-}
-
 TEST(WireTest, PiggybackSlackSaturates) {
   EXPECT_EQ(PiggybackSlack(8, 0), 8 * kTxIdWireBytes);
   EXPECT_EQ(PiggybackSlack(8, 8), 0u);
   // Regression: more ids than slots must not wrap to a huge reservation.
   EXPECT_EQ(PiggybackSlack(8, 9), 0u);
   EXPECT_EQ(PiggybackSlack(8, 1000), 0u);
-}
-
-TEST_F(RingTest, PrepareBatchMatchesSequentialAppends) {
-  RingReceiver rx(stores_[1].get(), 4096);
-  uint8_t* fb = nullptr;
-  stores_[0]->Allocate(8, &fb);
-  int pokes = 0;
-  RingSender tx(&fabric_, 0, 1, rx.data_base(), 4096, fb, stores_[0].get(), nullptr,
-                [&]() { pokes++; });
-
-  std::vector<RingSender::BatchEntry> entries;
-  for (int i = 0; i < 3; i++) {
-    ASSERT_TRUE(tx.Reserve(20));
-    entries.push_back({std::vector<uint8_t>(20, static_cast<uint8_t>(i + 1)), 20});
-  }
-  auto segs = tx.PrepareBatch(std::move(entries));
-  // Consecutive frames fold into one contiguous segment.
-  ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].addr, rx.data_base());
-  EXPECT_EQ(segs[0].data.size(), 3 * FramedLen(20));
-  EXPECT_EQ(tx.reserved(), 0u);
-
-  (void)fabric_.WriteBatch(0, 1, std::move(segs), nullptr, [&]() { pokes++; });
-  sim_.Run();
-  EXPECT_EQ(pokes, 1);
-  std::vector<std::vector<uint8_t>> got;
-  rx.Drain([&](uint64_t, std::vector<uint8_t> p) { got.push_back(std::move(p)); });
-  ASSERT_EQ(got.size(), 3u);
-  for (int i = 0; i < 3; i++) {
-    EXPECT_EQ(got[static_cast<size_t>(i)][0], static_cast<uint8_t>(i + 1));
-  }
-}
-
-TEST_F(RingTest, PrepareBatchWrapsWithMarker) {
-  const uint32_t kCap = 256;
-  RingReceiver rx(stores_[1].get(), kCap);
-  uint8_t* fb = nullptr;
-  stores_[0]->Allocate(8, &fb);
-  RingSender tx(&fabric_, 0, 1, rx.data_base(), kCap, fb, stores_[0].get(), nullptr, []() {});
-
-  // Advance the tail to 240 (5 x 48-byte frames), freeing as we go.
-  for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(tx.Reserve(40));
-    (void)tx.Append(std::vector<uint8_t>(40, 0x11), 40, nullptr);
-    sim_.Run();
-    rx.Drain([&](uint64_t seq, std::vector<uint8_t>) { rx.MarkFreeable(seq); });
-    uint64_t head = rx.head();
-    std::memcpy(fb, &head, 8);
-  }
-
-  // The next 48-byte frame does not fit in the 16 bytes before the ring
-  // end: the batch emits a wrap marker there and restarts at offset 0,
-  // producing two segments.
-  ASSERT_TRUE(tx.Reserve(40));
-  std::vector<RingSender::BatchEntry> entries;
-  entries.push_back({std::vector<uint8_t>(40, 0x22), 40});
-  auto segs = tx.PrepareBatch(std::move(entries));
-  ASSERT_EQ(segs.size(), 2u);
-  EXPECT_EQ(segs[0].addr, rx.data_base() + 240);
-  EXPECT_EQ(segs[0].data.size(), 4u);  // just the wrap marker
-  EXPECT_EQ(segs[1].addr, rx.data_base());
-  EXPECT_EQ(segs[1].data.size(), FramedLen(40));
-
-  (void)fabric_.WriteBatch(0, 1, std::move(segs), nullptr, nullptr);
-  sim_.Run();
-  std::vector<std::vector<uint8_t>> got;
-  rx.Drain([&](uint64_t, std::vector<uint8_t> p) { got.push_back(std::move(p)); });
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], std::vector<uint8_t>(40, 0x22));
-}
-
-TEST_F(RingTest, MessengerBatchedCoalescesLogsAndMessages) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;
-  opts.batch = true;
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger b(fabric_, *machines_[1], *stores_[1], opts);
-  Messenger::Connect(a, b);
-
-  std::vector<TxLogRecord> received;
-  std::vector<std::vector<uint8_t>> messages;
-  b.SetHandlers(
-      [&](MachineId, uint64_t, const TxLogRecord& rec) { received.push_back(rec); },
-      [&](MachineId, MsgType t, std::vector<uint8_t> p) {
-        EXPECT_EQ(t, MsgType::kLockReply);
-        messages.push_back(std::move(p));
-      });
-
-  TxLogRecord rec;
-  rec.type = LogRecordType::kLock;
-  rec.tx = TxId{1, 0, 0, 1};
-  rec.written_regions = {0};
-  uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
-  int acks = 0;
-  for (int i = 0; i < 2; i++) {
-    rec.tx.local = static_cast<uint64_t>(i + 1);
-    ASSERT_TRUE(a.ReserveLog(1, len));
-    a.AppendLog(1, rec, len, 0).OnReady([&](NetResult& r) {
-      EXPECT_TRUE(r.status.ok());
-      acks++;
-    });
-  }
-  a.SendMessage(1, MsgType::kLockReply, {0x01}, 0);
-  a.SendMessage(1, MsgType::kLockReply, {0x02}, 0);
-  sim_.Run();
-
-  // Everything was delivered, and both log acks fanned out from the single
-  // wire completion.
-  EXPECT_EQ(acks, 2);
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0].tx.local, 1u);
-  EXPECT_EQ(received[1].tx.local, 2u);
-  ASSERT_EQ(messages.size(), 2u);
-  EXPECT_EQ(messages[0], (std::vector<uint8_t>{0x01}));
-  EXPECT_EQ(messages[1], (std::vector<uint8_t>{0x02}));
-
-  // One flush, one doorbell for all four sends.
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_flushes), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_records), 2u);
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_msgs), 2u);
-  EXPECT_EQ(static_cast<uint64_t>(fabric_.stats().doorbells), 1u);
-}
-
-TEST_F(RingTest, MessengerBatchedSelfRingsStayImmediate) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;
-  opts.batch = true;
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger::Connect(a, a);
-
-  int got = 0;
-  a.SetHandlers([&](MachineId, uint64_t, const TxLogRecord&) {},
-                [&](MachineId, MsgType, std::vector<uint8_t>) { got++; });
-  a.SendMessage(0, MsgType::kLockReply, {1}, 0);
-  sim_.Run();
-  EXPECT_EQ(got, 1);
-  // The local fast path never batches.
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_flushes), 0u);
-}
-
-TEST_F(RingTest, MessengerRpcRidesBatchedRings) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;
-  opts.batch = true;
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger b(fabric_, *machines_[1], *stores_[1], opts);
-  Messenger::Connect(a, b);
-  a.SetHandlers(nullptr, nullptr);
-  b.SetHandlers(nullptr, nullptr);
-
-  fabric_.RegisterRpcService(1, 7, 0, 1,
-                             [](MachineId, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
-                               req.push_back(0xEE);  // echo with a marker
-                               reply(std::move(req));
-                             });
-
-  NetResult got;
-  bool done = false;
-  a.Call(1, 7, {1, 2, 3}, 0).OnReady([&](NetResult& r) {
-    got = r;
-    done = true;
-  });
-  sim_.Run();
-
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(got.status.ok());
-  EXPECT_EQ(got.data, (std::vector<uint8_t>{1, 2, 3, 0xEE}));
-  // The exchange used the message rings, not the fabric RPC transport.
-  EXPECT_EQ(static_cast<uint64_t>(fabric_.stats().rpcs), 0u);
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_rpcs), 1u);
-  EXPECT_GE(static_cast<uint64_t>(a.stats().batch_flushes), 1u);
-}
-
-TEST_F(RingTest, MessengerRpcUnknownServiceFailsFast) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;
-  opts.batch = true;
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger b(fabric_, *machines_[1], *stores_[1], opts);
-  Messenger::Connect(a, b);
-  a.SetHandlers(nullptr, nullptr);
-  b.SetHandlers(nullptr, nullptr);
-
-  NetResult got;
-  bool done = false;
-  SimTime done_at = 0;
-  a.Call(1, 99, {0}, 0).OnReady([&](NetResult& r) {
-    got = r;
-    done = true;
-    done_at = sim_.Now();
-  });
-  sim_.Run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(got.status.code(), StatusCode::kNotFound);
-  // The error reply came back well before the 4ms default timeout.
-  EXPECT_LT(done_at, kMillisecond);
-}
-
-TEST_F(RingTest, MessengerRpcTimesOutOnDeadPeer) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;
-  opts.batch = true;
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger b(fabric_, *machines_[1], *stores_[1], opts);
-  Messenger::Connect(a, b);
-  a.SetHandlers(nullptr, nullptr);
-  b.SetHandlers(nullptr, nullptr);
-
-  fabric_.RegisterRpcService(1, 7, 0, 1,
-                             [](MachineId, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
-                               reply(std::move(req));
-                             });
-  machines_[1]->Kill();
-
-  NetResult got;
-  bool done = false;
-  a.Call(1, 7, {1}, 0, 2 * kMillisecond).OnReady([&](NetResult& r) {
-    got = r;
-    done = true;
-  });
-  sim_.Run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(got.status.code(), StatusCode::kTimedOut);
-}
-
-TEST_F(RingTest, MessengerRpcUnbatchedDelegatesToFabric) {
-  Messenger::Options opts;
-  opts.worker_threads = 2;  // batch stays false: default config
-  Messenger a(fabric_, *machines_[0], *stores_[0], opts);
-  Messenger b(fabric_, *machines_[1], *stores_[1], opts);
-  Messenger::Connect(a, b);
-  a.SetHandlers(nullptr, nullptr);
-  b.SetHandlers(nullptr, nullptr);
-
-  fabric_.RegisterRpcService(1, 7, 0, 1,
-                             [](MachineId, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
-                               reply(std::move(req));
-                             });
-
-  NetResult got;
-  bool done = false;
-  a.Call(1, 7, {9}, 0).OnReady([&](NetResult& r) {
-    got = r;
-    done = true;
-  });
-  sim_.Run();
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(got.status.ok());
-  EXPECT_EQ(got.data, (std::vector<uint8_t>{9}));
-  // Verbatim fabric RPC: counted by the fabric, no batching state touched.
-  EXPECT_EQ(static_cast<uint64_t>(fabric_.stats().rpcs), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_rpcs), 0u);
-  EXPECT_EQ(static_cast<uint64_t>(a.stats().batch_flushes), 0u);
 }
 
 TEST(AllocatorTest, ReserveFormatsBlocksAndReturnsSlots) {

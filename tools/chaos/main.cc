@@ -16,8 +16,6 @@
 //                                    postmortems here (liveness timeouts
 //                                    dump the watchdog's at-expiry snapshot)
 //   chaos_repro --mutate             enable the skip-backup-ack protocol bug
-//   chaos_repro --batch              run with data-plane batching enabled
-//   chaos_repro --backoff            run with adaptive lock-conflict backoff
 //
 // Exit status: 0 when every run passes. Failures exit with their class so
 // scripts can dispatch without parsing output:
@@ -60,8 +58,6 @@ struct Args {
   std::string plan_file;
   std::string dump_dir;
   bool mutate = false;
-  bool batch = false;
-  bool backoff = false;
   bool explore = false;
   int depth = 1;
   int machines = 5;
@@ -115,10 +111,6 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       out->explore = true;
     } else if (arg == "--mutate") {
       out->mutate = true;
-    } else if (arg == "--batch") {
-      out->batch = true;
-    } else if (arg == "--backoff") {
-      out->backoff = true;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
@@ -188,8 +180,6 @@ int RunExplore(const Args& args) {
   eo.horizon = static_cast<farm::SimTime>(args.horizon_ms) * farm::kMillisecond;
   eo.max_depth = args.depth;
   eo.mutate_skip_backup_ack = args.mutate;
-  eo.batch_data_plane = args.batch;
-  eo.adaptive_backoff = args.backoff;
   eo.points = SplitCommas(args.points);
   if (!args.actions.empty()) {
     eo.actions.clear();
@@ -246,8 +236,6 @@ int main(int argc, char** argv) {
 
   ChaosRunOptions opts;
   opts.mutate_skip_backup_ack = args.mutate;
-  opts.batch_data_plane = args.batch;
-  opts.adaptive_backoff = args.backoff;
 
   if (!args.plan_file.empty()) {
     std::ifstream in(args.plan_file);
