@@ -12,16 +12,16 @@
 namespace farm {
 namespace {
 
-// Runs `txs` FaRM transactions each writing one object in `regions` distinct
-// regions (Pw primaries, f=2 backups each) and returns ops per transaction.
-struct FarmCounts {
+// One-sided writes, one-sided reads and RPCs per committed transaction.
+struct Counts {
   double writes_per_tx;
   double reads_per_tx;
   double rpcs_per_tx;
-  double wire_msgs_per_tx;
 };
 
-FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_objects) {
+// Runs `txs` FaRM transactions each writing one object in `regions` distinct
+// regions (Pw primaries, f=2 backups each) and returns ops per transaction.
+Counts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_objects) {
   ClusterOptions copts = bench::DefaultClusterOptions(14, 57);
   copts.node.backup_lock_records = backup_lock_records;
   auto cluster = std::make_unique<Cluster>(copts);
@@ -98,17 +98,15 @@ FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_
   // Drain truncations so their (piggybacked/explicit) cost is included.
   cluster->RunFor(20 * kMillisecond);
   FabricStats after = cluster->fabric().stats();
-  FarmCounts out;
+  Counts out;
   out.writes_per_tx =
       static_cast<double>(after.rdma_writes - before.rdma_writes) / *committed;
   out.reads_per_tx = static_cast<double>(after.rdma_reads - before.rdma_reads) / *committed;
   out.rpcs_per_tx = static_cast<double>(after.rpcs - before.rpcs) / *committed;
-  out.wire_msgs_per_tx =
-      static_cast<double>(after.WireMessages() - before.WireMessages()) / *committed;
   return out;
 }
 
-double MeasureTwoPc(int participants) {
+Counts MeasureTwoPc(int participants) {
   Simulator sim;
   Fabric fabric(sim, CostModel{});
   std::vector<std::unique_ptr<Machine>> machines;
@@ -146,12 +144,36 @@ double MeasureTwoPc(int participants) {
   auto wrapper = [](Task<int> inner, std::shared_ptr<std::optional<int>> out) -> Task<void> {
     out->emplace(co_await std::move(inner));
   };
-  uint64_t before = fabric.stats().rpcs;
+  FabricStats before = fabric.stats();
   Spawn(wrapper(run(&system, client, participants, kTxs), committed));
   sim.Run();
   FARM_CHECK(committed->has_value() && **committed == kTxs);
-  // Each RPC is a request + a response on the wire.
-  return 2.0 * static_cast<double>(fabric.stats().rpcs - before) / kTxs;
+  FabricStats after = fabric.stats();
+  Counts out;
+  out.writes_per_tx = static_cast<double>(after.rdma_writes - before.rdma_writes) / kTxs;
+  out.reads_per_tx = static_cast<double>(after.rdma_reads - before.rdma_reads) / kTxs;
+  out.rpcs_per_tx = static_cast<double>(after.rpcs - before.rpcs) / kTxs;
+  return out;
+}
+
+// One printed row, also written to the --json-out "points" array.
+// `analytical` is the paper's count for the row: one-sided writes Pw(f+3)
+// for FaRM (the NSDI'14 protocol adds Pw*f backup LOCK records), messages
+// 4P(2f+1) for 2PC, where every RPC is a request plus a response.
+void Row(const std::string& config, const Counts& c, int analytical, bool twopc) {
+  if (twopc) {
+    std::printf("%-34s %10s %10s %10.1f %9d(m)\n", config.c_str(), "-", "-", c.rpcs_per_tx,
+                analytical);
+  } else {
+    std::printf("%-34s %10.1f %10.1f %10.1f %9d(w)\n", config.c_str(), c.writes_per_tx,
+                c.reads_per_tx, c.rpcs_per_tx, analytical);
+  }
+  if (auto* j = bench::Json()) {
+    j->AddPoint(config, {{"writes_per_tx", c.writes_per_tx},
+                         {"reads_per_tx", c.reads_per_tx},
+                         {"rpcs_per_tx", c.rpcs_per_tx},
+                         {twopc ? "analytical_msgs" : "analytical_writes", analytical}});
+  }
 }
 
 void Run() {
@@ -162,33 +184,28 @@ void Run() {
 
   std::printf("%-34s %10s %10s %10s %12s\n", "configuration", "writes/tx", "reads/tx",
               "rpcs/tx", "analytical");
+  constexpr int kF = 2;
   for (int pw : {1, 2, 3}) {
-    FarmCounts farm = MeasureFarm(false, pw, 0);
-    std::printf("FaRM optimized, Pw=%-15d %10.1f %10.1f %10.1f %9d(w)\n", pw,
-                farm.writes_per_tx, farm.reads_per_tx, farm.rpcs_per_tx, pw * (2 + 3));
+    Row("FaRM optimized, Pw=" + std::to_string(pw), MeasureFarm(false, pw, 0), pw * (kF + 3),
+        false);
   }
+  Row("FaRM optimized, Pw=1 Pr=4", MeasureFarm(false, 1, 4), kF + 3, false);
   {
-    FarmCounts farm = MeasureFarm(false, 1, 4);
-    std::printf("FaRM optimized, Pw=1 Pr=4%9s %10.1f %10.1f %10.1f %12s\n", "",
-                farm.writes_per_tx, farm.reads_per_tx, farm.rpcs_per_tx, "+Pr reads");
-  }
-  {
-    FarmCounts nsdi = MeasureFarm(true, 2, 0);
-    FarmCounts opt = MeasureFarm(false, 2, 0);
-    std::printf("FaRM NSDI'14 (backup LOCKs), Pw=2  %10.1f %10.1f %10.1f %12s\n",
-                nsdi.writes_per_tx, nsdi.reads_per_tx, nsdi.rpcs_per_tx, "");
+    Counts nsdi = MeasureFarm(true, 2, 0);
+    Counts opt = MeasureFarm(false, 2, 0);
+    Row("FaRM NSDI'14 (backup LOCKs), Pw=2", nsdi, 2 * (kF + 3) + 2 * kF, false);
     std::printf("  -> optimized protocol sends %.0f%% fewer one-sided writes\n",
                 (1.0 - opt.writes_per_tx / nsdi.writes_per_tx) * 100.0);
   }
   for (int p : {1, 2, 3}) {
-    double msgs = MeasureTwoPc(p);
-    std::printf("2PC over Paxos groups, P=%-9d %10s %10s %10.1f %9d(m)\n", p, "-", "-",
-                msgs / 2.0, 4 * p * 5);
+    Row("2PC over Paxos groups, P=" + std::to_string(p), MeasureTwoPc(p),
+        4 * p * (2 * kF + 1), true);
   }
   std::printf("\nNote: FaRM per-tx writes include LOCK + COMMIT-BACKUP + COMMIT-PRIMARY\n"
               "records plus amortized truncation and ring-buffer feedback writes; the\n"
-              "paper's Pw(f+3) counts the commit-critical records only. The 2PC\n"
-              "baseline's analytical column is the paper's 4P(2f+1) with f=2.\n");
+              "paper's Pw(f+3) counts the commit-critical records only (the NSDI'14\n"
+              "row adds Pw*f backup LOCK records). The 2PC baseline's analytical\n"
+              "column is the paper's 4P(2f+1) messages with f=2.\n");
 }
 
 }  // namespace

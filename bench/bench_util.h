@@ -38,9 +38,15 @@ class JsonReport {
   }
   void Set(const std::string& key, int v) { scalars_.emplace_back(key, std::to_string(v)); }
   // Appends one row to the "points" array (a sweep step, one per load level).
-  void AddPoint(std::vector<std::pair<std::string, double>> kv) {
+  void AddPoint(std::vector<std::pair<std::string, double>> kv) { AddPoint("", std::move(kv)); }
+  // Same, led by a "config" string naming the row (no JSON escaping: plain
+  // labels only).
+  void AddPoint(const std::string& config, std::vector<std::pair<std::string, double>> kv) {
     std::vector<std::pair<std::string, std::string>> row;
-    row.reserve(kv.size());
+    row.reserve(kv.size() + 1);
+    if (!config.empty()) {
+      row.emplace_back("config", "\"" + config + "\"");
+    }
     for (auto& [k, v] : kv) {
       row.emplace_back(k, Num(v));
     }

@@ -82,7 +82,6 @@ uint32_t FaultInjector::OnPoint(uint32_t machine, const char* point, uint64_t ar
   next_++;
   counted_ = 0;
   firings_.push_back(Firing{next_ - 1, now, machine});
-  last_fire_time_ = now;
   if (cb_.note) {
     std::ostringstream line;
     line << "inject " << FaultActionName(t.action) << " at " << t.point << " hit "

@@ -86,8 +86,6 @@ class FaultInjector : public fault::Hook {
   // discovery data.
   const std::map<std::string, uint64_t>& point_hits() const { return point_hits_; }
   const std::vector<Firing>& firings() const { return firings_; }
-  bool all_fired() const { return next_ >= triggers_.size(); }
-  uint64_t last_fire_time() const { return last_fire_time_; }
 
  private:
   std::vector<FaultTrigger> triggers_;
@@ -97,7 +95,6 @@ class FaultInjector : public fault::Hook {
   uint64_t counted_ = 0; // hits of the current trigger's point since anchor
   std::map<std::string, uint64_t> point_hits_;
   std::vector<Firing> firings_;
-  uint64_t last_fire_time_ = 0;
 };
 
 }  // namespace chaos

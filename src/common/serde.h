@@ -67,12 +67,6 @@ class BufReader {
     return std::string(b.begin(), b.end());
   }
 
-  void ReadRaw(void* out, size_t len) {
-    FARM_CHECK(pos_ + len <= len_) << "BufReader overrun";
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-  }
-
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
 

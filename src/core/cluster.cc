@@ -6,10 +6,14 @@ namespace {
 
 uint64_t SimNowForLog(void* ctx) { return static_cast<Simulator*>(ctx)->Now(); }
 
+bool g_cluster_live = false;
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
+  FARM_CHECK(!g_cluster_live) << "another Cluster is still live; destroy it first";
+  g_cluster_live = true;
   fabric_ = std::make_unique<Fabric>(sim_, options_.cost);
   fabric_->SeedFaultRng(options_.fault_seed);
   fabric_->BindStats(registry_);
@@ -96,6 +100,7 @@ Cluster::~Cluster() {
   if (trace::Tracer* tracer = trace::Global()) {
     tracer->AttachClock(nullptr);
   }
+  g_cluster_live = false;
 }
 
 std::string Cluster::FlightPostmortem() const {

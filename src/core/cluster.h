@@ -3,6 +3,10 @@
 //
 // Machine ids 0..machines-1 run FaRM; ids machines..machines+zk_replicas-1
 // host the coordination service (the paper's separate ZooKeeper machines).
+//
+// At most one Cluster may be live at a time (the constructor checks): the
+// parked-frame list of src/sim/task.h, the tracer and the fault hook are
+// process-global, and ~Cluster reclaims every parked frame in the process.
 #ifndef SRC_CORE_CLUSTER_H_
 #define SRC_CORE_CLUSTER_H_
 

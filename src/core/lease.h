@@ -77,7 +77,6 @@ class LeaseManager {
 
   uint64_t expiry_events() const { return expiry_events_; }
   const LeaseOptions& options() const { return options_; }
-  void set_duration(SimDuration d) { options_.duration = d; }
 
  private:
   // Handshake steps.

@@ -74,7 +74,6 @@ void Messenger::ReleaseLogReservation(MachineId dst, uint32_t payload_len) {
 Future<NetResult> Messenger::AppendLog(MachineId dst, const TxLogRecord& rec,
                                        uint32_t reserved_len, int thread_idx) {
   std::vector<uint8_t> payload = rec.Serialize();
-  log_bytes_sent_ += payload.size();
   HwThread* thread = thread_idx >= 0 ? &machine_.thread(thread_idx) : nullptr;
   return outbound_.at(dst).txlog->Append(std::move(payload), reserved_len, thread);
 }

@@ -88,16 +88,6 @@ class Messenger {
   // again through the normal handlers (which are idempotent).
   void RebuildFromNvram();
 
-  // Total log payload bytes appended (stats).
-  uint64_t log_bytes_sent() const { return log_bytes_sent_; }
-  // Debug: outbound tx-log space (free bytes, reserved bytes).
-  std::pair<uint64_t, uint64_t> LogSpace(MachineId dst) const {
-    auto it = outbound_.find(dst);
-    if (it == outbound_.end()) {
-      return {0, 0};
-    }
-    return {it->second.txlog->FreeBytes(), it->second.txlog->reserved()};
-  }
 
  private:
   struct Inbound {
@@ -136,7 +126,6 @@ class Messenger {
   MessageHandler msg_handler_;
   std::map<MachineId, Inbound> inbound_;
   std::map<MachineId, Outbound> outbound_;
-  uint64_t log_bytes_sent_ = 0;
 };
 
 }  // namespace farm

@@ -30,7 +30,6 @@ class RegionReplica {
   uint32_t object_stride() const { return object_stride_; }
   // NVRAM base address: what remote machines target with one-sided verbs.
   uint64_t base() const { return base_; }
-  uint64_t AddrOf(uint32_t offset) const { return base_ + offset; }
 
   uint8_t* Ptr(uint32_t offset, uint32_t len) {
     FARM_CHECK(static_cast<uint64_t>(offset) + len <= size_);

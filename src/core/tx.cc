@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/core/cluster.h"
-#include "src/core/flight_hooks.h"
 #include "src/core/node.h"
 #include "src/obs/trace.h"
 
@@ -13,10 +12,13 @@ namespace {
 
 constexpr size_t kMaxPiggyback = 8;
 
-// Span id for async tx spans; only pay for the string when tracing is on.
-std::string TxTraceId(const TxId& id) {
-  return FARM_TRACE_ACTIVE() ? id.ToString() : std::string();
-}
+// t_r: a primary with at most this many read-only objects to validate is
+// checked with one-sided RDMA reads, above it with a VALIDATE RPC.
+constexpr int kValidateRpcThreshold = 4;
+
+// Safety net for a commit phase whose replies never come (failures):
+// the coordinator gives up and leaves the outcome to recovery.
+constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
 
 // Reservation size for small records (COMMIT-PRIMARY / ABORT) with room for
 // piggybacked truncation ids.
@@ -170,8 +172,7 @@ void Transaction::WakePhase() {
 
 Task<bool> Transaction::AwaitPhase() {
   phase_armed_ = true;
-  auto woke = co_await AwaitWithTimeout(node_->sim(), phase_wake_,
-                                        node_->options().commit_resolution_timeout);
+  auto woke = co_await AwaitWithTimeout(node_->sim(), phase_wake_, kCommitResolutionTimeout);
   phase_armed_ = false;
   phase_wake_ = Future<Unit>();  // fresh future for the next phase
   co_return woke.has_value();
@@ -310,6 +311,7 @@ Task<Status> Transaction::Commit() {
   commit_started_ = true;
   const NodeOptions& opts = node_->options();
   CostModel& cost = node_->fabric().cost();
+  EventSeam& events = node_->events();
 
   // Read-only transactions: validation only, no logging (section 4:
   // serialization point is the last read).
@@ -320,24 +322,13 @@ Task<Status> Transaction::Commit() {
   // The execute phase ran from Begin() to here; the id only exists now, so
   // its begin record is stamped retroactively (the postmortem merge sorts by
   // time, not append order).
-  flight::Recorder* ring = node_->flight();
-  flight::PhaseMetrics& pm = node_->phase_metrics();
-  FlightLogTx(ring, begin_time_, flight::EventKind::kPhaseBegin, id_,
-              static_cast<uint8_t>(flight::Phase::kExecute));
-  FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-              static_cast<uint8_t>(flight::Phase::kExecute));
-  pm.RecordPhase(flight::Phase::kExecute, node_->sim().Now() - begin_time_);
-
-  const uint32_t trace_pid = static_cast<uint32_t>(node_->id());
-  const uint32_t trace_tid = static_cast<uint32_t>(thread_);
-  trace::SpanGuard commit_span(trace_pid, trace_tid, "tx", "commit", TxTraceId(id_));
+  events.PhaseEnd(id_, flight::Phase::kExecute,
+                  events.PhaseBegin(id_, flight::Phase::kExecute, begin_time_));
 
   co_await node_->worker(thread_).Execute(cost.cpu_tx_commit_setup);
 
   if (writes_.empty()) {
-    const SimTime validate_start = node_->sim().Now();
-    FlightLogTx(ring, validate_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
+    const SimTime validate_start = events.PhaseBegin(id_, flight::Phase::kValidate);
     Status v = co_await ValidatePhase();
     if (recovery_resolution_.has_value()) {
       // A reconfiguration changed a read region's primary mid-validation;
@@ -345,272 +336,197 @@ Task<Status> Transaction::Commit() {
       // no log record to attest to the validation).
       co_return FinishFromRecovery();
     }
+    if (!v.ok()) {
+      co_return EndUncommitted(flight::AbortReason::kValidateConflict, v);
+    }
     node_->UnregisterInflight(id_);
     registered_ = false;
-    if (v.ok()) {
-      pm.RecordPhase(flight::Phase::kValidate, node_->sim().Now() - validate_start);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                  static_cast<uint8_t>(flight::Phase::kValidate));
-      committed_ = true;
-      node_->mutable_stats().tx_committed++;
-    } else {
-      node_->mutable_stats().tx_aborted_validate++;
-      pm.CountAbort(flight::AbortReason::kValidateConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kValidateConflict));
-    }
+    events.PhaseEnd(id_, flight::Phase::kValidate, validate_start);
+    committed_ = true;
+    node_->mutable_stats().tx_committed++;
     co_return v;
   }
 
   auto participants = BuildParticipants();
   if (!participants.ok()) {
-    node_->UnregisterInflight(id_);
-    registered_ = false;
     ReleaseAllocs();
-    node_->mutable_stats().tx_aborted_lock++;
-    pm.CountAbort(flight::AbortReason::kNoPlacement);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                static_cast<uint8_t>(flight::AbortReason::kNoPlacement));
-    co_return participants.status();
+    co_return EndUncommitted(flight::AbortReason::kNoPlacement, participants.status());
   }
   Participants& p = *participants;
 
   if (!ReserveLogs(p)) {
-    node_->UnregisterInflight(id_);
-    registered_ = false;
     ReleaseAllocs();
-    node_->mutable_stats().tx_aborted_lock++;
-    pm.CountAbort(flight::AbortReason::kLogReservation);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                static_cast<uint8_t>(flight::AbortReason::kLogReservation));
-    co_return Status(StatusCode::kResourceExhausted, "log reservation failed");
+    co_return EndUncommitted(flight::AbortReason::kLogReservation,
+                             Status(StatusCode::kResourceExhausted, "log reservation failed"));
   }
 
   // ---- Phase 1: LOCK ----
-  {
-    trace::SpanGuard lock_span(trace_pid, trace_tid, "tx", "lock", TxTraceId(id_));
-    const SimTime lock_start = node_->sim().Now();
-    FlightLogTx(ring, lock_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kLock));
-    lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
-    lock_all_ok_ = true;
-    for (const auto& [m, writes] : p.primary_writes) {
+  const SimTime lock_start = events.PhaseBegin(id_, flight::Phase::kLock);
+  lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
+  lock_all_ok_ = true;
+  for (const auto& [m, writes] : p.primary_writes) {
+    TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
+    uint32_t reserved = static_cast<uint32_t>(
+        rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
+    (void)node_->messenger().AppendLog(m, rec, reserved, thread_);
+  }
+  // NSDI'14-protocol ablation: LOCK records also go to backups (and are
+  // simply stored); the optimized protocol eliminates them.
+  if (opts.backup_lock_records) {
+    for (const auto& [m, writes] : p.backup_writes) {
       TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
-      (void)node_->messenger().AppendLog(m, rec, reserved, thread_);
-    }
-    // NSDI'14-protocol ablation: LOCK records also go to backups (and are
-    // simply stored); the optimized protocol eliminates them.
-    if (opts.backup_lock_records) {
-      for (const auto& [m, writes] : p.backup_writes) {
-        TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
-        uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
-        if (node_->messenger().ReserveLog(m, len)) {
-          (void)node_->messenger().AppendLog(m, rec, len, thread_);
-        }
+      uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+      if (node_->messenger().ReserveLog(m, len)) {
+        (void)node_->messenger().AppendLog(m, rec, len, thread_);
       }
     }
-
-    bool woke = co_await AwaitPhase();
-    if (recovery_resolution_.has_value()) {
-      co_return FinishFromRecovery();
-    }
-    if (!woke) {
-      node_->mutable_stats().tx_unresolved++;
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kUnresolvedLock));
-      co_return UnavailableStatus("commit unresolved: lock phase");
-    }
-    if (!lock_all_ok_) {
-      AbortParticipants(p);
-      ReleaseAllocs();
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      node_->mutable_stats().tx_aborted_lock++;
-      pm.CountAbort(flight::AbortReason::kLockConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kLockConflict));
-      co_return AbortedStatus("lock conflict");
-    }
-    pm.RecordPhase(flight::Phase::kLock, node_->sim().Now() - lock_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kLock));
   }
+
+  bool woke = co_await AwaitPhase();
+  if (recovery_resolution_.has_value()) {
+    co_return FinishFromRecovery();
+  }
+  if (!woke) {
+    co_return EndUncommitted(flight::AbortReason::kUnresolvedLock,
+                             UnavailableStatus("commit unresolved: lock phase"));
+  }
+  if (!lock_all_ok_) {
+    AbortParticipants(p);
+    ReleaseAllocs();
+    co_return EndUncommitted(flight::AbortReason::kLockConflict, AbortedStatus("lock conflict"));
+  }
+  events.PhaseEnd(id_, flight::Phase::kLock, lock_start);
 
   // ---- Phase 2: VALIDATE (one-sided reads; RPC above threshold t_r) ----
-  {
-    trace::SpanGuard validate_span(trace_pid, trace_tid, "tx", "validate", TxTraceId(id_));
-    const SimTime validate_start = node_->sim().Now();
-    FlightLogTx(ring, validate_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
-    Status v = co_await ValidatePhase();
+  const SimTime validate_start = events.PhaseBegin(id_, flight::Phase::kValidate);
+  Status v = co_await ValidatePhase();
+  if (recovery_resolution_.has_value()) {
+    co_return FinishFromRecovery();
+  }
+  if (!v.ok()) {
+    AbortParticipants(p);
+    ReleaseAllocs();
+    co_return EndUncommitted(flight::AbortReason::kValidateConflict, v);
+  }
+  events.PhaseEnd(id_, flight::Phase::kValidate, validate_start);
+
+  // ---- Phase 3: COMMIT-BACKUP (one-sided writes; wait for NIC acks) ----
+  const SimTime cb_start = events.PhaseBegin(id_, flight::Phase::kCommitBackup);
+  WaitGroup wg;
+  auto all_ok = std::make_shared<bool>(true);
+  for (const auto& [m, writes] : p.backup_writes) {
+    TxLogRecord rec = MakeRecord(LogRecordType::kCommitBackup, m, &writes, p.written_regions);
+    uint32_t reserved = static_cast<uint32_t>(
+        rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
+    wg.Add();
+    auto alive = alive_;
+    node_->messenger()
+        .AppendLog(m, rec, reserved, thread_)
+        .OnReady([wg, all_ok, alive, this](NetResult& r) {
+          if (!r.status.ok()) {
+            *all_ok = false;
+          }
+          wg.Done();
+          // Under the skip-backup-ack ablation nobody waits on this phase;
+          // waking would spuriously rouse the COMMIT-PRIMARY await.
+          if (*alive && wg.pending() == 0 && !node_->options().chaos_skip_backup_ack) {
+            WakePhase();
+          }
+        });
+  }
+  // Chaos-only ablation: race ahead to COMMIT-PRIMARY without waiting for
+  // the backup hardware acks. This is the protocol bug the chaos oracle
+  // must catch (see NodeOptions::chaos_skip_backup_ack).
+  if (wg.pending() > 0 && !node_->options().chaos_skip_backup_ack) {
+    bool woke2 = co_await AwaitPhase();
     if (recovery_resolution_.has_value()) {
       co_return FinishFromRecovery();
     }
-    if (!v.ok()) {
-      AbortParticipants(p);
-      ReleaseAllocs();
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      node_->mutable_stats().tx_aborted_validate++;
-      pm.CountAbort(flight::AbortReason::kValidateConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kValidateConflict));
-      co_return v;
+    if (!woke2) {
+      co_return EndUncommitted(flight::AbortReason::kUnresolvedBackupAck,
+                               UnavailableStatus("commit unresolved: backup acks"));
     }
-    pm.RecordPhase(flight::Phase::kValidate, node_->sim().Now() - validate_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
   }
-
-  // ---- Phase 3: COMMIT-BACKUP (one-sided writes; wait for NIC acks) ----
-  {
-    trace::SpanGuard cb_span(trace_pid, trace_tid, "tx", "commit-backup", TxTraceId(id_));
-    const SimTime cb_start = node_->sim().Now();
-    FlightLogTx(ring, cb_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitBackup));
-    WaitGroup wg;
-    auto all_ok = std::make_shared<bool>(true);
-    for (const auto& [m, writes] : p.backup_writes) {
-      TxLogRecord rec = MakeRecord(LogRecordType::kCommitBackup, m, &writes,
-                                   p.written_regions);
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
-      wg.Add();
-      auto alive = alive_;
-      node_->messenger()
-          .AppendLog(m, rec, reserved, thread_)
-          .OnReady([wg, all_ok, alive, this](NetResult& r) {
-            if (!r.status.ok()) {
-              *all_ok = false;
-            }
-            wg.Done();
-            // Under the skip-backup-ack ablation nobody waits on this phase;
-            // waking would spuriously rouse the COMMIT-PRIMARY await.
-            if (*alive && wg.pending() == 0 && !node_->options().chaos_skip_backup_ack) {
-              WakePhase();
-            }
-          });
+  // Serializability across failures requires ALL backup acks before any
+  // COMMIT-PRIMARY is written (section 4, correctness). A missing ack
+  // means a failure: wait for recovery to decide the outcome.
+  if (!node_->options().chaos_skip_backup_ack && (!*all_ok || marked_recovering_)) {
+    (void)co_await AwaitPhase();
+    if (recovery_resolution_.has_value()) {
+      co_return FinishFromRecovery();
     }
-    // Chaos-only ablation: race ahead to COMMIT-PRIMARY without waiting for
-    // the backup hardware acks. This is the protocol bug the chaos oracle
-    // must catch (see NodeOptions::chaos_skip_backup_ack).
-    if (wg.pending() > 0 && !node_->options().chaos_skip_backup_ack) {
-      bool woke2 = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
-      }
-      if (!woke2) {
-        node_->mutable_stats().tx_unresolved++;
-        node_->UnregisterInflight(id_);
-        registered_ = false;
-        FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                    static_cast<uint8_t>(flight::AbortReason::kUnresolvedBackupAck));
-        co_return UnavailableStatus("commit unresolved: backup acks");
-      }
-    }
-    // Serializability across failures requires ALL backup acks before any
-    // COMMIT-PRIMARY is written (section 4, correctness). A missing ack
-    // means a failure: wait for recovery to decide the outcome.
-    if (!node_->options().chaos_skip_backup_ack && (!*all_ok || marked_recovering_)) {
-      bool resolved = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
-      }
-      (void)resolved;
-      node_->mutable_stats().tx_unresolved++;
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kUnresolvedBackupFailure));
-      co_return UnavailableStatus("commit unresolved: backup failure");
-    }
-    pm.RecordPhase(flight::Phase::kCommitBackup, node_->sim().Now() - cb_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitBackup));
+    co_return EndUncommitted(flight::AbortReason::kUnresolvedBackupFailure,
+                             UnavailableStatus("commit unresolved: backup failure"));
   }
+  events.PhaseEnd(id_, flight::Phase::kCommitBackup, cb_start);
 
   // ---- Phase 4: COMMIT-PRIMARY (report committed on the first ack) ----
-  {
-    trace::SpanGuard cp_span(trace_pid, trace_tid, "tx", "commit-primary", TxTraceId(id_));
-    const SimTime cp_start = node_->sim().Now();
-    FlightLogTx(ring, cp_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitPrimary));
-    struct CpState {
-      int pending = 0;
-      bool any_ok = false;
-      Node* node = nullptr;
-      TxId id;
-      std::vector<MachineId> holders;
-      // Truncate-slot reservations were taken per role (a machine can be
-      // both a primary and a backup); releases must mirror that exactly.
-      std::vector<MachineId> reserved_slots;
-    };
-    auto cp = std::make_shared<CpState>();
-    cp->pending = static_cast<int>(p.primary_writes.size());
-    cp->node = node_;
-    cp->id = id_;
-    cp->holders = p.all_holders;
-    for (const auto& [m, writes] : p.primary_writes) {
-      (void)writes;
-      cp->reserved_slots.push_back(m);
-    }
-    for (const auto& [m, writes] : p.backup_writes) {
-      (void)writes;
-      cp->reserved_slots.push_back(m);
-    }
-    for (const auto& [m, writes] : p.primary_writes) {
-      (void)writes;
-      // COMMIT-PRIMARY carries only the transaction id (Table 1).
-      TxLogRecord rec = MakeRecord(LogRecordType::kCommitPrimary, m, nullptr, {});
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
-      auto alive = alive_;
-      node_->messenger()
-          .AppendLog(m, rec, reserved, thread_)
-          .OnReady([cp, alive, this](NetResult& r) {
-            cp->pending--;
-            // Hardware acks are rejected once the transaction is recovering.
-            bool recovering = *alive && marked_recovering_;
-            if (r.status.ok() && !cp->any_ok && !recovering) {
-              cp->any_ok = true;
-              if (*alive) {
-                WakePhase();  // first hardware ack: report committed
-              }
-            }
-            if (cp->pending == 0 && cp->any_ok && !recovering) {
-              // All primaries acked: the coordinator may lazily truncate.
-              // The per-role TRUNCATE reservations are handed back; the
-              // flush path re-reserves when it actually writes records.
-              uint32_t small_len = SmallRecordReservation();
-              for (MachineId h : cp->reserved_slots) {
-                cp->node->messenger().ReleaseLogReservation(h, small_len);
-              }
-              cp->node->QueueTruncation(cp->id, cp->holders);
-            }
-          });
-    }
-    if (!cp->any_ok) {
-      bool woke3 = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
-      }
-      if (!woke3 || !cp->any_ok) {
-        node_->mutable_stats().tx_unresolved++;
-        node_->UnregisterInflight(id_);
-        registered_ = false;
-        FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                    static_cast<uint8_t>(flight::AbortReason::kUnresolvedPrimaryAck));
-        co_return UnavailableStatus("commit unresolved: primary acks");
-      }
-    }
-    pm.RecordPhase(flight::Phase::kCommitPrimary, node_->sim().Now() - cp_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitPrimary));
+  const SimTime cp_start = events.PhaseBegin(id_, flight::Phase::kCommitPrimary);
+  struct CpState {
+    int pending = 0;
+    bool any_ok = false;
+    Node* node = nullptr;
+    TxId id;
+    std::vector<MachineId> holders;
+    // Truncate-slot reservations were taken per role (a machine can be
+    // both a primary and a backup); releases must mirror that exactly.
+    std::vector<MachineId> reserved_slots;
+  };
+  auto cp = std::make_shared<CpState>();
+  cp->pending = static_cast<int>(p.primary_writes.size());
+  cp->node = node_;
+  cp->id = id_;
+  cp->holders = p.all_holders;
+  for (const auto& [m, writes] : p.primary_writes) {
+    (void)writes;
+    cp->reserved_slots.push_back(m);
   }
+  for (const auto& [m, writes] : p.backup_writes) {
+    (void)writes;
+    cp->reserved_slots.push_back(m);
+  }
+  for (const auto& [m, writes] : p.primary_writes) {
+    (void)writes;
+    // COMMIT-PRIMARY carries only the transaction id (Table 1).
+    TxLogRecord rec = MakeRecord(LogRecordType::kCommitPrimary, m, nullptr, {});
+    uint32_t reserved = static_cast<uint32_t>(
+        rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
+    auto alive = alive_;
+    node_->messenger()
+        .AppendLog(m, rec, reserved, thread_)
+        .OnReady([cp, alive, this](NetResult& r) {
+          cp->pending--;
+          // Hardware acks are rejected once the transaction is recovering.
+          bool recovering = *alive && marked_recovering_;
+          if (r.status.ok() && !cp->any_ok && !recovering) {
+            cp->any_ok = true;
+            if (*alive) {
+              WakePhase();  // first hardware ack: report committed
+            }
+          }
+          if (cp->pending == 0 && cp->any_ok && !recovering) {
+            // All primaries acked: the coordinator may lazily truncate.
+            // The per-role TRUNCATE reservations are handed back; the
+            // flush path re-reserves when it actually writes records.
+            uint32_t small_len = SmallRecordReservation();
+            for (MachineId h : cp->reserved_slots) {
+              cp->node->messenger().ReleaseLogReservation(h, small_len);
+            }
+            cp->node->QueueTruncation(cp->id, cp->holders);
+          }
+        });
+  }
+  if (!cp->any_ok) {
+    bool woke3 = co_await AwaitPhase();
+    if (recovery_resolution_.has_value()) {
+      co_return FinishFromRecovery();
+    }
+    if (!woke3 || !cp->any_ok) {
+      co_return EndUncommitted(flight::AbortReason::kUnresolvedPrimaryAck,
+                               UnavailableStatus("commit unresolved: primary acks"));
+    }
+  }
+  events.PhaseEnd(id_, flight::Phase::kCommitPrimary, cp_start);
 
   committed_ = true;
   node_->mutable_stats().tx_committed++;
@@ -619,25 +535,27 @@ Task<Status> Transaction::Commit() {
   co_return OkStatus();
 }
 
+Status Transaction::EndUncommitted(flight::AbortReason why, Status status) {
+  node_->UnregisterInflight(id_);
+  registered_ = false;
+  node_->events().Abort(id_, why);
+  return status;
+}
+
 Status Transaction::FinishFromRecovery() {
   LogTxScope log_tx(id_.config, id_.machine, id_.thread, id_.local);
-  bool committed = *recovery_resolution_;
-  committed_ = committed;
-  if (registered_) {
-    node_->UnregisterInflight(id_);
-    registered_ = false;
+  committed_ = *recovery_resolution_;
+  if (!committed_) {
+    Status s = EndUncommitted(flight::AbortReason::kRecoveryAbort,
+                              AbortedStatus("aborted by recovery"));
+    ReleaseAllocs();
+    return s;
   }
-  if (committed) {
-    node_->mutable_stats().tx_committed++;
-    node_->mutable_stats().tx_recovered_commit++;
-    return OkStatus();
-  }
-  node_->mutable_stats().tx_recovered_abort++;
-  node_->phase_metrics().CountAbort(flight::AbortReason::kRecoveryAbort);
-  FlightLogTx(node_->flight(), node_->sim().Now(), flight::EventKind::kAbort, id_,
-              static_cast<uint8_t>(flight::AbortReason::kRecoveryAbort));
-  ReleaseAllocs();
-  return AbortedStatus("aborted by recovery");
+  node_->UnregisterInflight(id_);
+  registered_ = false;
+  node_->mutable_stats().tx_committed++;
+  node_->mutable_stats().tx_recovered_commit++;
+  return OkStatus();
 }
 
 Task<Status> Transaction::ValidatePhase() {
@@ -663,7 +581,7 @@ Task<Status> Transaction::ValidatePhase() {
   auto rdma_ok = std::make_shared<bool>(true);
 
   for (auto& [m, entries] : by_primary) {
-    if (static_cast<int>(entries.size()) <= node_->options().validate_rpc_threshold) {
+    if (static_cast<int>(entries.size()) <= kValidateRpcThreshold) {
       // One-sided RDMA reads of the header words: no CPU at the primary.
       for (auto& [addr, word] : entries) {
         if (m == node_->id()) {

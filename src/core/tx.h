@@ -26,6 +26,7 @@
 #include "src/common/status.h"
 #include "src/core/types.h"
 #include "src/core/wire.h"
+#include "src/obs/flight_recorder.h"
 #include "src/sim/task.h"
 
 namespace farm {
@@ -107,6 +108,9 @@ class Transaction {
   };
   StatusOr<Participants> BuildParticipants() const;
   bool ReserveLogs(const Participants& p);
+  // Ends a commit attempt that did not commit: unregisters the transaction
+  // and reports the abort through the node's event seam.
+  Status EndUncommitted(flight::AbortReason why, Status status);
   Status FinishFromRecovery();
   Task<Status> ValidatePhase();
   void AbortParticipants(const Participants& p);

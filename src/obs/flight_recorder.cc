@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "src/obs/fault_hook.h"
+#include "src/obs/trace.h"
 
 namespace farm {
 namespace flight {
@@ -36,57 +37,43 @@ const char* const kRecoveryStepNames[kNumRecoverySteps] = {
     "decide-abort", "decision-apply",    "truncate-recovery",
 };
 
-// Renders `arg` the way FormatRecord does for `kind`: a symbolic name where
-// the kind defines one, the raw number otherwise.
-std::string ArgText(uint8_t kind, uint8_t arg) {
-  EventKind k = static_cast<EventKind>(kind);
-  int a = static_cast<int>(arg);
+// The symbolic names `kind` gives its arg (arg `first + i` is names[i]);
+// count 0 where the arg is a plain number.
+struct ArgNames {
+  const char* const* names = nullptr;
+  int count = 0;
+  int first = 0;
+};
+
+ArgNames ArgNamesOf(EventKind k) {
   switch (k) {
     case EventKind::kPhaseBegin:
     case EventKind::kPhaseEnd:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseNames[a];
-      }
-      break;
+      return {kPhaseNames, kNumPhases, 0};
     case EventKind::kAbort:
-      if (a >= 1 && a <= kNumAbortReasons) {
-        return kAbortReasonNames[a - 1];
-      }
-      break;
+      return {kAbortReasonNames, kNumAbortReasons, 1};
     case EventKind::kRecoveryStep:
-      if (a >= 1 && a <= kNumRecoverySteps) {
-        return kRecoveryStepNames[a - 1];
-      }
-      break;
+      return {kRecoveryStepNames, kNumRecoverySteps, 1};
     default:
-      break;
+      return {};
   }
-  return std::to_string(a);
+}
+
+// Renders `arg` the way FormatRecord does for `kind`: a symbolic name where
+// the kind defines one, the raw number otherwise.
+std::string ArgText(uint8_t kind, uint8_t arg) {
+  ArgNames n = ArgNamesOf(static_cast<EventKind>(kind));
+  int i = static_cast<int>(arg) - n.first;
+  return i >= 0 && i < n.count ? n.names[i] : std::to_string(arg);
 }
 
 // Inverse of ArgText: resolves a symbolic or numeric arg for `kind`.
 bool ParseArg(uint8_t kind, const std::string& text, uint8_t* out) {
-  EventKind k = static_cast<EventKind>(kind);
-  if (k == EventKind::kPhaseBegin || k == EventKind::kPhaseEnd) {
-    for (int i = 0; i < kNumPhases; i++) {
-      if (text == kPhaseNames[i]) {
-        *out = static_cast<uint8_t>(i);
-        return true;
-      }
-    }
-  } else if (k == EventKind::kAbort) {
-    for (int i = 0; i < kNumAbortReasons; i++) {
-      if (text == kAbortReasonNames[i]) {
-        *out = static_cast<uint8_t>(i + 1);
-        return true;
-      }
-    }
-  } else if (k == EventKind::kRecoveryStep) {
-    for (int i = 0; i < kNumRecoverySteps; i++) {
-      if (text == kRecoveryStepNames[i]) {
-        *out = static_cast<uint8_t>(i + 1);
-        return true;
-      }
+  ArgNames n = ArgNamesOf(static_cast<EventKind>(kind));
+  for (int i = 0; i < n.count; i++) {
+    if (text == n.names[i]) {
+      *out = static_cast<uint8_t>(i + n.first);
+      return true;
     }
   }
   char* end = nullptr;
@@ -126,42 +113,24 @@ const char* RecoveryStepName(RecoveryStep s) {
 }
 
 const char* PointName(EventKind k, uint8_t arg) {
-  // Interned qualified names for the kinds whose arg selects a sub-site.
-  static const char* const kPhaseBeginPoints[kNumPhases] = {
-      "phase-begin:execute",        "phase-begin:lock",
-      "phase-begin:validate",       "phase-begin:commit_backup",
-      "phase-begin:commit_primary", "phase-begin:truncate",
-  };
-  static const char* const kPhaseEndPoints[kNumPhases] = {
-      "phase-end:execute",        "phase-end:lock",
-      "phase-end:validate",       "phase-end:commit_backup",
-      "phase-end:commit_primary", "phase-end:truncate",
-  };
-  static const char* const kRecoveryPoints[kNumRecoverySteps] = {
-      "recovery:new-config",    "recovery:tx-state-start",
-      "recovery:lock-recovery", "recovery:decide-commit",
-      "recovery:decide-abort",  "recovery:decision-apply",
-      "recovery:truncate-recovery",
-  };
-  int a = static_cast<int>(arg);
-  switch (k) {
-    case EventKind::kPhaseBegin:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseBeginPoints[a];
+  // Phase and recovery-step records are qualified by their symbolic arg
+  // ("phase-begin:lock"); abort reasons are not. Built once and interned.
+  static const std::vector<std::vector<std::string>> kQualified = [] {
+    std::vector<std::vector<std::string>> q(kNumEventKinds + 1);
+    for (EventKind kind :
+         {EventKind::kPhaseBegin, EventKind::kPhaseEnd, EventKind::kRecoveryStep}) {
+      ArgNames n = ArgNamesOf(kind);
+      for (int j = 0; j < n.count; j++) {
+        q[static_cast<int>(kind)].push_back(std::string(EventKindName(kind)) + ":" + n.names[j]);
       }
-      break;
-    case EventKind::kPhaseEnd:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseEndPoints[a];
-      }
-      break;
-    case EventKind::kRecoveryStep:
-      if (a >= 1 && a <= kNumRecoverySteps) {
-        return kRecoveryPoints[a - 1];
-      }
-      break;
-    default:
-      break;
+    }
+    return q;
+  }();
+  int i = static_cast<int>(k);
+  int a = static_cast<int>(arg) - ArgNamesOf(k).first;
+  if (i >= 1 && i <= kNumEventKinds && a >= 0 &&
+      a < static_cast<int>(kQualified[static_cast<size_t>(i)].size())) {
+    return kQualified[static_cast<size_t>(i)][static_cast<size_t>(a)].c_str();
   }
   return EventKindName(k);
 }
@@ -172,6 +141,7 @@ Recorder::Recorder(uint32_t machine, size_t capacity)
 void Recorder::Append(const Record& r) {
   ring_[appended_ % ring_.size()] = r;
   appended_++;
+  FARM_TRACE(Consume(machine_, r));
   if (fault::HookActive()) {
     // Every flight record is an injectable fault point. msg-send is the one
     // exception: the fabric hits it natively (before committing the message

@@ -36,6 +36,14 @@ Tracer::Tracer() : Tracer(Options{}) {}
 
 Tracer::Tracer(Options options) : options_(options) {}
 
+void Tracer::AttachClock(const Simulator* sim) {
+  for (const auto& [key, span] : open_tx_spans_) {
+    Push(Event{'e', key.first, span.tid, Now(), 0, "tx", span.name, key.second, 0});
+  }
+  open_tx_spans_.clear();
+  sim_ = sim;
+}
+
 void Tracer::NameProcess(uint32_t pid, const std::string& name) {
   Event ev;
   ev.phase = 'M';
@@ -82,6 +90,38 @@ void Tracer::Instant(uint32_t pid, uint32_t tid, const char* cat, const char* na
 void Tracer::CounterValue(uint32_t pid, const char* name, uint64_t value) {
   FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
   Push(Event{'C', pid, 0, sim_->Now(), 0, nullptr, name, {}, value});
+}
+
+void Tracer::Consume(uint32_t machine, const flight::Record& r) {
+  auto kind = static_cast<flight::EventKind>(r.kind);
+  if (kind == flight::EventKind::kReconfig || kind == flight::EventKind::kRecoveryStep) {
+    const char* name = kind == flight::EventKind::kReconfig
+                           ? flight::EventKindName(kind)
+                           : flight::RecoveryStepName(static_cast<flight::RecoveryStep>(r.arg));
+    Push(Event{'i', machine, 0, r.time_ns, 0, "recovery", name, {}, 0});
+  }
+  bool phase = kind == flight::EventKind::kPhaseBegin || kind == flight::EventKind::kPhaseEnd;
+  if (!(r.flags & flight::Record::kHasTx) ||
+      !(phase || kind == flight::EventKind::kAbort || kind == flight::EventKind::kRecoveryStep)) {
+    return;
+  }
+  char id[80];
+  std::snprintf(id, sizeof(id), "tx<%u,%u,%u,%" PRIu64 ">%s", r.tx_config,
+                static_cast<uint32_t>(r.tx_machine), static_cast<uint32_t>(r.tx_thread),
+                r.tx_local,
+                phase && r.arg == static_cast<uint8_t>(flight::Phase::kTruncate) ? "/truncate"
+                                                                                 : "");
+  SpanKey key{machine, id};
+  auto open = open_tx_spans_.find(key);
+  if (open != open_tx_spans_.end()) {
+    Push(Event{'e', machine, open->second.tid, r.time_ns, 0, "tx", open->second.name, id, 0});
+    open_tx_spans_.erase(open);
+  }
+  if (kind == flight::EventKind::kPhaseBegin) {
+    const char* name = flight::PhaseName(static_cast<flight::Phase>(r.arg));
+    Push(Event{'b', machine, r.tx_thread, r.time_ns, 0, "tx", name, id, 0});
+    open_tx_spans_[key] = OpenSpan{r.tx_thread, name};
+  }
 }
 
 void Tracer::AppendEvent(std::string& out, const Event& ev) {

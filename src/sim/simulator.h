@@ -120,7 +120,6 @@ class Simulator {
   // Runs for the given additional duration of simulated time.
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  bool Idle() const { return heap_.empty(); }
   uint64_t events_processed() const { return events_processed_; }
   size_t pending_events() const { return heap_.size(); }
 

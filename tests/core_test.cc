@@ -548,5 +548,17 @@ TEST_F(CoreTest, ColocatedRegionSharesReplicas) {
   EXPECT_EQ(p1->Replicas(), p2->Replicas());
 }
 
+// The parked-frame list, tracer and fault hook are process-global, so a
+// second Cluster built while another is live must fail fast rather than
+// have the first one's teardown destroy its frames.
+TEST(ClusterDeathTest, SecondLiveClusterFailsFast) {
+  EXPECT_DEATH(
+      {
+        Cluster first(SmallClusterOptions(4, 1));
+        Cluster second(SmallClusterOptions(4, 2));
+      },
+      "another Cluster is still live");
+}
+
 }  // namespace
 }  // namespace farm

@@ -213,6 +213,25 @@ TEST(RuleFixtureTest, ChaosRngFlagsLiteralSeeds) {
   EXPECT_EQ(hits.size(), 1u) << "plan-derived seeds must not fire";
 }
 
+TEST(RuleFixtureTest, SingleSeamIsOffByDefault) {
+  auto hits = LintFixture("seamdir/protocol.cc", DefaultRules());
+  EXPECT_EQ(hits.count("single-seam"), 0u);
+}
+
+TEST(RuleFixtureTest, SingleSeamFlagsWritesOutsideTheSeam) {
+  FileConfig config = DefaultRules();
+  config.rules.insert("single-seam");
+  auto hits = LintFixture("seamdir/protocol.cc", config);
+  EXPECT_EQ(hits["single-seam"], 5);
+  EXPECT_EQ(hits.size(), 1u) << "non-recorder Append receivers must not fire";
+}
+
+TEST(RuleFixtureTest, SingleSeamExemptsTheSeamFile) {
+  FileConfig config = DefaultRules();
+  config.rules.insert("single-seam");
+  EXPECT_TRUE(LintFixture("seamdir/event_seam.cc", config).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Await-safety rules (scope/flow-aware analyzer)
 // ---------------------------------------------------------------------------
@@ -305,6 +324,20 @@ TEST(DriverTest, ChaosDirEnablesChaosRng) {
   int n = RunFarmlint(options, out);
   EXPECT_EQ(n, 2) << out.str();
   EXPECT_NE(out.str().find("chaos-rng"), std::string::npos) << out.str();
+}
+
+TEST(DriverTest, SeamDirEnablesSingleSeam) {
+  FileConfig config =
+      ResolveFileConfig(FARMLINT_TESTDATA, Testdata("seamdir/protocol.cc"));
+  EXPECT_EQ(config.rules.count("single-seam"), 1u);
+
+  DriverOptions options;
+  options.root = FARMLINT_TESTDATA;
+  options.paths = {Testdata("seamdir")};
+  std::ostringstream out;
+  int n = RunFarmlint(options, out);
+  EXPECT_EQ(n, 5) << out.str();
+  EXPECT_NE(out.str().find("single-seam"), std::string::npos) << out.str();
 }
 
 TEST(DriverTest, KnownRuleNames) {

@@ -69,6 +69,10 @@ const std::vector<RuleInfo> kRules = {
     {"recorder-pod", true,
      "flight-recorder records (structs named *Record in files using "
      "src/obs/flight_recorder.h) must stay trivially copyable and pointer-free"},
+    {"single-seam", false,
+     "flight record, phase sample or abort count written outside the event "
+     "seam (event_seam.{h,cc}): RecordPhase/CountAbort calls or Append on a "
+     "flight::Recorder"},
     {"await-hazard", true,
      "pointer/reference/iterator from an unstable accessor (Placement(), map "
      "find()/at()/operator[], begin()/end()) used across a co_await; "
@@ -412,6 +416,72 @@ void CheckRecorderPod(const FileInput& file, const std::vector<const Token*>& si
   }
 }
 
+// One observation seam per protocol event: in directories that enable
+// `single-seam`, only the seam file may write flight records (Append on a
+// flight::Recorder) or the metrics a record implies (RecordPhase,
+// CountAbort). The receiver of an Append is walked back as a postfix chain
+// (`a.b->c(x)[i]`); it is a recorder when any identifier in it was declared
+// with the Recorder type.
+bool IsSeamFile(const FileInput& file) {
+  return file.basename == "event_seam.h" || file.basename == "event_seam.cc";
+}
+
+bool ReceiverNamesRecorder(const std::vector<const Token*>& sig, size_t dot,
+                           const std::set<std::string>& recorders) {
+  size_t k = dot;
+  while (k > 0) {
+    const Token* t = sig[--k];
+    if (IsPunct(t, ")") || IsPunct(t, "]")) {
+      // Skip a call's arguments or a subscript; the callee comes next.
+      int depth = 1;
+      while (k > 0 && depth > 0) {
+        const Token* u = sig[--k];
+        if (IsPunct(u, ")") || IsPunct(u, "]")) {
+          depth++;
+        } else if (IsPunct(u, "(") || IsPunct(u, "[")) {
+          depth--;
+        }
+      }
+      continue;
+    }
+    if (t->kind != TokKind::kIdentifier) {
+      return false;
+    }
+    if (recorders.count(t->text) != 0) {
+      return true;
+    }
+    if (k == 0 ||
+        !(IsPunct(sig[k - 1], ".") || IsPunct(sig[k - 1], "->") || IsPunct(sig[k - 1], "::"))) {
+      return false;
+    }
+    --k;  // the separator
+  }
+  return false;
+}
+
+void CheckSingleSeam(const FileInput& file, const std::vector<const Token*>& sig,
+                     const std::set<std::string>& recorders, Reporter& rep) {
+  if (!rep.RuleEnabled("single-seam") || IsSeamFile(file)) {
+    return;
+  }
+  for (size_t i = 1; i + 1 < sig.size(); ++i) {
+    const Token* t = sig[i];
+    if (t->kind != TokKind::kIdentifier || !IsPunct(sig[i + 1], "(") ||
+        !(IsPunct(sig[i - 1], ".") || IsPunct(sig[i - 1], "->"))) {
+      continue;
+    }
+    if (t->text == "RecordPhase" || t->text == "CountAbort") {
+      rep.Report("single-seam", t->line, t->col,
+                 t->text + "() outside the event seam; a phase end or abort is "
+                           "one EventSeam call, which records its metric");
+    } else if (t->text == "Append" && ReceiverNamesRecorder(sig, i - 1, recorders)) {
+      rep.Report("single-seam", t->line, t->col,
+                 "flight record appended outside the event seam; emit it through "
+                 "EventSeam so the tracer, fault hook and metrics see it once");
+    }
+  }
+}
+
 void CheckHeaderHygiene(const FileInput& file, const std::vector<const Token*>& sig,
                         Reporter& rep) {
   if (!file.is_header) {
@@ -514,6 +584,30 @@ void Linter::CollectDeclarations(const FileInput& file) {
       }
     }
   }
+  // Names declared with the flight-recorder type (`Recorder* ring`,
+  // `unique_ptr<flight::Recorder>> flight_`, `Recorder* flight_recorder(`),
+  // for single-seam. Members and accessors are visible repo-wide like
+  // unordered members; other names only within their file.
+  for (size_t i = 0; i + 2 < sig.size(); ++i) {
+    if (!IsIdent(sig[i], "Recorder") || sig[i]->in_directive) {
+      continue;
+    }
+    size_t k = i + 1;
+    while (k < sig.size() && (IsPunct(sig[k], "*") || IsPunct(sig[k], "&") ||
+                              IsPunct(sig[k], ">") || IsPunct(sig[k], ">>") ||
+                              IsIdent(sig[k], "const"))) {
+      k++;
+    }
+    if (k + 1 >= sig.size() || sig[k]->kind != TokKind::kIdentifier) {
+      continue;
+    }
+    const std::string& name = sig[k]->text;
+    if (name.back() == '_' || IsPunct(sig[k + 1], "(")) {
+      recorder_names_.insert(name);
+    } else {
+      local_recorder_names_[file.path].insert(name);
+    }
+  }
   // Annotation index: accessors marked `// farmlint: stable` in any input
   // file are exempt from await-hazard provenance everywhere.
   std::set<std::string> stable = CollectStableAnnotations(file, nullptr);
@@ -536,6 +630,12 @@ std::vector<Diagnostic> Linter::Lint(const FileInput& file,
   CheckChaosRng(sig, rep);
   CheckKeyTypes(sig, rep);
   CheckRecorderPod(file, sig, rep);
+  std::set<std::string> recorders = recorder_names_;
+  auto local_recorders = local_recorder_names_.find(file.path);
+  if (local_recorders != local_recorder_names_.end()) {
+    recorders.insert(local_recorders->second.begin(), local_recorders->second.end());
+  }
+  CheckSingleSeam(file, sig, recorders, rep);
   CheckHeaderHygiene(file, sig, rep);
   CheckAllowHygiene(file, rep);
   if (rep.RuleEnabled("bad-allow")) {

@@ -75,6 +75,9 @@ class Linter {
   // every `m` in the repository.
   std::set<std::string> unordered_names_;
   std::map<std::string, std::set<std::string>> local_unordered_names_;  // by file path
+  // Names declared with the flight::Recorder type, split the same way.
+  std::set<std::string> recorder_names_;
+  std::map<std::string, std::set<std::string>> local_recorder_names_;  // by file path
   // Accessor names whose declaration carries a `farmlint: stable` comment
   // anywhere in the input set: the annotation index. A stable accessor is
   // exempt from await-hazard provenance no matter which file calls it.
