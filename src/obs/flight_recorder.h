@@ -8,6 +8,9 @@
 // allocation, no simulator events, no randomness -- the recorder observes
 // the execution without perturbing it, so same-seed runs stay byte-identical
 // with recording on (the 32-machine trace gate runs with it enabled).
+// Append also feeds each record to the tracer (commit-phase spans and
+// recovery instants; trace::Tracer::Consume) and to the fault hook (one
+// injectable point per record), so all three observe one stream.
 //
 // When a chaos run fails, the harness drains every machine's ring into a
 // causally merged postmortem -- records sorted by (time, machine, seq) --
